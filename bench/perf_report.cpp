@@ -8,8 +8,7 @@
 //               streaming pass (getrusage ru_maxrss delta), which must stay
 //               bounded by the largest rank block, not the corpus size.
 //   fitter    - hypothesis-search throughput (hypotheses/sec) over the
-//               two-term PMNF space, for the scalar and vector simd
-//               backends at 1 and 4 threads.
+//               two-term PMNF space, at 1 and --threads threads.
 //   gate      - optional perf_thresholds.json enforcement (exit 1 on
 //               violation), with deliberately loose machine-independent
 //               bounds: the gate catches order-of-magnitude cliffs (a
@@ -36,7 +35,6 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "eval/report.hpp"
 #include "extradeep/ingest.hpp"
@@ -191,9 +189,7 @@ struct FitterTiming {
 
 /// Times ModelGenerator::fit over the two-term search space until
 /// `budget_seconds` elapses (at least one fit).
-FitterTiming time_fitter(simd::Backend backend, int threads,
-                         double budget_seconds) {
-    simd::set_backend(backend);
+FitterTiming time_fitter(int threads, double budget_seconds) {
     std::vector<double> xs = {2, 4, 6, 8, 10, 12, 16, 24, 32, 48};
     std::vector<double> ys;
     for (const double x : xs) {
@@ -304,28 +300,21 @@ int main(int argc, char** argv) {
         add_record(records, "ingest_materialize", "rss_delta_mb",
                    mat.rss_delta_mb);
 
-        // --- fitter: hypotheses/sec per backend x thread count.
-        const simd::Backend saved = simd::active_backend();
+        // --- fitter: hypotheses/sec per thread count.
         std::vector<int> fit_threads = {1};
         if (threads != 1) {
             fit_threads.push_back(threads);
         }
-        for (const simd::Backend backend :
-             {simd::Backend::Scalar, simd::Backend::Vector}) {
-            for (const int t : fit_threads) {
-                const FitterTiming ft = time_fitter(backend, t, fit_budget);
-                const std::string name = std::string("fitter_") +
-                                         simd::backend_name(backend) + "_t" +
-                                         std::to_string(t);
-                add_record(records, name, "hypotheses_per_sec",
-                           ft.hypotheses_per_sec);
-                if (backend == simd::Backend::Scalar && t == 1) {
-                    add_record(records, name, "hypotheses_per_fit",
-                               static_cast<double>(ft.hypotheses_per_fit));
-                }
+        for (const int t : fit_threads) {
+            const FitterTiming ft = time_fitter(t, fit_budget);
+            const std::string name = "fitter_t" + std::to_string(t);
+            add_record(records, name, "hypotheses_per_sec",
+                       ft.hypotheses_per_sec);
+            if (t == 1) {
+                add_record(records, name, "hypotheses_per_fit",
+                           static_cast<double>(ft.hypotheses_per_fit));
             }
         }
-        simd::set_backend(saved);
 
         Table table({"case", "metric", "value"});
         for (const auto& r : records) {

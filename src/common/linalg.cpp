@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 
 namespace extradeep::linalg {
 
@@ -46,6 +45,35 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
 }
 
 namespace {
+
+/// y[i] += a * x[i] for i in [0, n): the contiguous row update of the
+/// Householder sweep and of the normal-equation assembly.
+void axpy(double* y, double a, const double* x, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+        y[i] += a * x[i];
+    }
+}
+
+/// A^T A for the m x n matrix `a`, accumulated as row outer products in row
+/// order. Rows whose i-th entry is exactly 0.0 contribute nothing to
+/// out(i, *), so each element sees the same addition sequence as the classic
+/// out(i, j) = sum_r a(r, i) * a(r, j) column loop with that zero-skip, while
+/// the inner traversal stays a contiguous axpy over the row.
+Matrix normal_equations(const Matrix& a) {
+    const std::size_t cols = a.cols();
+    Matrix out(cols, cols);
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        const double* row = a.row(r);
+        for (std::size_t i = 0; i < cols; ++i) {
+            const double v = row[i];
+            if (v == 0.0) {
+                continue;
+            }
+            axpy(out.row(i), v, row, cols);
+        }
+    }
+    return out;
+}
 
 // Cholesky factor L with S = L L^T, in-place into a copy. Returns false if
 // not SPD (within a relative tolerance on the diagonal).
@@ -171,18 +199,18 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
         }
         // Apply H = I - 2 v v^T / (v^T v) to the trailing block and to rhs.
         // Loop-interchanged so the inner traversal runs along contiguous row
-        // segments (simd::axpy): dots[c - k] accumulates v^T R(:, c) in the
+        // segments (axpy): dots[c - k] accumulates v^T R(:, c) in the
         // same ascending-i order as a per-column loop, so the result is
         // bit-identical to the column-at-a-time formulation.
         dots.assign(n - k, 0.0);
         for (std::size_t i = k; i < m; ++i) {
-            simd::axpy(dots.data(), v[i - k], r.row(i) + k, n - k);
+            axpy(dots.data(), v[i - k], r.row(i) + k, n - k);
         }
         for (std::size_t j = 0; j < n - k; ++j) {
             dots[j] = 2.0 * dots[j] / vnorm2;
         }
         for (std::size_t i = k; i < m; ++i) {
-            simd::axpy(r.row(i) + k, -v[i - k], dots.data(), n - k);
+            axpy(r.row(i) + k, -v[i - k], dots.data(), n - k);
         }
         {
             double dot = 0.0;
@@ -234,10 +262,8 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
     // Unscaled covariance (A^T A)^{-1}; skip when rank deficient (the
     // hypothesis will be rejected by the model selector anyway).
     if (!out.rank_deficient) {
-        Matrix ata(n, n);
-        simd::normal_equations(a.data(), m, n, ata.data());
         try {
-            out.covariance_unscaled = invert_spd(ata);
+            out.covariance_unscaled = invert_spd(normal_equations(a));
         } catch (const NumericalError&) {
             out.rank_deficient = true;
         }

@@ -1,6 +1,5 @@
 #include "common/parallel_for.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
@@ -192,16 +191,6 @@ void ThreadPool::parallel_for(
             std::rethrow_exception(err);
         }
     }
-}
-
-void parallel_for(std::size_t count, int num_threads,
-                  const std::function<void(int, std::size_t, std::size_t)>& body) {
-    const int threads =
-        static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(resolve_num_threads(num_threads)),
-            std::max<std::size_t>(count, 1)));
-    ThreadPool pool(threads);
-    pool.parallel_for(count, body);
 }
 
 }  // namespace extradeep

@@ -121,11 +121,4 @@ private:
     std::exception_ptr error_;
 };
 
-/// One-shot convenience: runs `body` over [0, count) with a transient pool of
-/// `num_threads` threads (resolved via resolve_num_threads). Prefer a named
-/// ThreadPool when calling repeatedly.
-void parallel_for(std::size_t count, int num_threads,
-                  const std::function<void(int chunk, std::size_t begin,
-                                           std::size_t end)>& body);
-
 }  // namespace extradeep

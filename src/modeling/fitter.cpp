@@ -10,7 +10,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel_for.hpp"
-#include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -123,15 +122,17 @@ void basis_matrix(const std::vector<Term>& terms,
     for (std::size_t r = 0; r < n; ++r) {
         b(r, 0) = 1.0;
     }
-    // The term column is built in a contiguous buffer (simd::mul_inplace
-    // over the cached factor columns, in Term::basis factor order — the same
-    // per-element multiply chain as before) and then scattered into the
+    // The term column is built in a contiguous buffer (the product of the
+    // cached factor columns, in Term::basis factor order — the same
+    // per-element multiply chain as Term::basis) and then scattered into the
     // strided basis column.
     for (std::size_t t = 0; t < terms.size(); ++t) {
         scratch.term_col.assign(n, 1.0);
         for (const auto& f : terms[t].factors) {
             const std::vector<double>& col = cache.column(f);
-            simd::mul_inplace(scratch.term_col.data(), col.data(), n);
+            for (std::size_t r = 0; r < n; ++r) {
+                scratch.term_col[r] *= col[r];
+            }
         }
         for (std::size_t r = 0; r < n; ++r) {
             b(r, t + 1) = scratch.term_col[r];

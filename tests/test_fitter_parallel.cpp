@@ -11,12 +11,12 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/parallel_for.hpp"
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "eval/oracle.hpp"
 #include "modeling/fitter.hpp"
 #include "modeling/model.hpp"
@@ -59,12 +59,12 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
     for (const int threads : {1, 2, 4, 7}) {
         std::vector<std::atomic<int>> hits(103);
         for (auto& h : hits) h = 0;
-        parallel_for(hits.size(), threads,
-                     [&](int, std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                             ++hits[i];
-                         }
-                     });
+        ThreadPool(threads).parallel_for(
+            hits.size(), [&](int, std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) {
+                    ++hits[i];
+                }
+            });
         for (std::size_t i = 0; i < hits.size(); ++i) {
             EXPECT_EQ(hits[i], 1) << "index " << i << " threads " << threads;
         }
@@ -73,7 +73,8 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelFor, ZeroCountRunsNothing) {
     bool ran = false;
-    parallel_for(0, 4, [&](int, std::size_t, std::size_t) { ran = true; });
+    ThreadPool(4).parallel_for(0,
+                               [&](int, std::size_t, std::size_t) { ran = true; });
     EXPECT_FALSE(ran);
 }
 
@@ -302,80 +303,60 @@ TEST(ParallelFitter, HardwareThreadCountAlsoIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// simd backend equivalence: the vector kernels only widen elementwise
-// operations and share the scalar path's reduction trees, so a fit under the
-// Vector backend must be bit-identical to the Scalar reference — at every
-// thread count, including the stored covariance that feeds
-// predict_interval.
+// Thread-count identity over the oracle cases and randomised PMNF data, at
+// both search-space sizes. Beyond the models, prediction intervals are
+// compared too: they read the stored covariance (the normal equations),
+// which the model comparison does not cover.
 
 namespace {
 
-/// RAII backend override, so a failing assertion cannot leak the scalar
-/// backend into later tests.
-class ScopedBackend {
-public:
-    explicit ScopedBackend(simd::Backend b) : saved_(simd::active_backend()) {
-        simd::set_backend(b);
-    }
-    ~ScopedBackend() { simd::set_backend(saved_); }
-
-private:
-    simd::Backend saved_;
-};
-
-/// Fits the same data under both backends at `threads` and asserts the
-/// models — including prediction intervals at interpolated and extrapolated
-/// points — are bit-identical.
-void expect_backend_identical(const std::vector<std::vector<double>>& pts,
-                              const std::vector<double>& ys,
-                              std::vector<std::string> names, int threads,
-                              int max_terms = 2) {
-    FitOptions opts;
-    opts.space.max_terms = max_terms;
-    opts.num_threads = threads;
-    const ModelGenerator gen(opts);
-    PerformanceModel scalar = [&] {
-        const ScopedBackend b(simd::Backend::Scalar);
-        return gen.fit(pts, ys, names);
-    }();
-    PerformanceModel vector = [&] {
-        const ScopedBackend b(simd::Backend::Vector);
-        return gen.fit(pts, ys, names);
-    }();
-    expect_identical(scalar, vector);
-    // Prediction intervals exercise the covariance path (the normal
-    // equations), which the model comparison above does not cover.
-    for (const double scale : {1.0, 2.0, 8.0}) {
-        std::vector<double> probe = pts.back();
-        for (double& v : probe) {
-            v *= scale;
+/// Fits the same data at 1, 2 and 4 threads and asserts the models —
+/// including prediction intervals at interpolated and extrapolated points —
+/// are bit-identical to the serial fit.
+void expect_thread_count_identical(const std::vector<std::vector<double>>& pts,
+                                   const std::vector<double>& ys,
+                                   const std::vector<std::string>& names,
+                                   int max_terms) {
+    const PerformanceModel serial =
+        generator_with_threads(1, max_terms).fit(pts, ys, names);
+    for (const int threads : {2, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " terms " +
+                     std::to_string(max_terms));
+        const PerformanceModel parallel =
+            generator_with_threads(threads, max_terms).fit(pts, ys, names);
+        expect_identical(serial, parallel);
+        for (const double scale : {1.0, 2.0, 8.0}) {
+            std::vector<double> probe = pts.back();
+            for (double& v : probe) {
+                v *= scale;
+            }
+            const auto a = serial.predict_interval(probe);
+            const auto b = parallel.predict_interval(probe);
+            EXPECT_EQ(a.prediction, b.prediction) << "scale " << scale;
+            EXPECT_EQ(a.lower, b.lower) << "scale " << scale;
+            EXPECT_EQ(a.upper, b.upper) << "scale " << scale;
         }
-        const auto a = scalar.predict_interval(probe);
-        const auto b = vector.predict_interval(probe);
-        EXPECT_EQ(a.prediction, b.prediction) << "scale " << scale;
-        EXPECT_EQ(a.lower, b.lower) << "scale " << scale;
-        EXPECT_EQ(a.upper, b.upper) << "scale " << scale;
     }
 }
 
 }  // namespace
 
-TEST(SimdBackend, ScalarVsVectorIdenticalOnOracleCases) {
+TEST(ParallelFitter, OracleCasesIdenticalAcrossThreadCounts) {
     for (const auto& oracle : eval::default_oracle_cases()) {
         std::vector<double> ys;
         ys.reserve(oracle.points.size());
         for (const auto& p : oracle.points) {
             ys.push_back(oracle.truth_value(p));
         }
-        for (const int threads : {1, 2, 4}) {
-            SCOPED_TRACE(oracle.name + " threads " + std::to_string(threads));
-            expect_backend_identical(oracle.points, ys,
-                                     oracle.truth.param_names(), threads);
+        SCOPED_TRACE(oracle.name);
+        for (const int max_terms : {1, 2}) {
+            expect_thread_count_identical(oracle.points, ys,
+                                          oracle.truth.param_names(), max_terms);
         }
     }
 }
 
-TEST(SimdBackend, ScalarVsVectorIdenticalOnRandomSpaces) {
+TEST(ParallelFitter, RandomSpacesIdenticalAcrossThreadCounts) {
     // Randomised PMNF data: noisy samples of random-growth functions over
     // 1-D and 2-D grids, single- and two-term search spaces.
     for (const std::uint64_t seed : {11u, 23u, 57u}) {
@@ -389,13 +370,9 @@ TEST(SimdBackend, ScalarVsVectorIdenticalOnRandomSpaces) {
             ys.push_back((3.0 + slope * x + curve * x * std::log2(x)) *
                          rng.lognormal_factor(0.04));
         }
-        for (const int threads : {1, 2, 4}) {
-            for (const int max_terms : {1, 2}) {
-                SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
-                             std::to_string(threads) + " terms " +
-                             std::to_string(max_terms));
-                expect_backend_identical(pts, ys, {"x1"}, threads, max_terms);
-            }
+        SCOPED_TRACE("1d seed " + std::to_string(seed));
+        for (const int max_terms : {1, 2}) {
+            expect_thread_count_identical(pts, ys, {"x1"}, max_terms);
         }
     }
     for (const std::uint64_t seed : {5u, 91u}) {
@@ -411,10 +388,9 @@ TEST(SimdBackend, ScalarVsVectorIdenticalOnRandomSpaces) {
                              rng.lognormal_factor(0.03));
             }
         }
-        for (const int threads : {1, 2, 4}) {
-            SCOPED_TRACE("2d seed " + std::to_string(seed) + " threads " +
-                         std::to_string(threads));
-            expect_backend_identical(pts, ys, {"x1", "x2"}, threads);
+        SCOPED_TRACE("2d seed " + std::to_string(seed));
+        for (const int max_terms : {1, 2}) {
+            expect_thread_count_identical(pts, ys, {"x1", "x2"}, max_terms);
         }
     }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -199,6 +200,51 @@ TEST(LeastSquares, CovarianceMatchesNormalEquations) {
     for (std::size_t i = 0; i < 2; ++i) {
         for (std::size_t j = 0; j < 2; ++j) {
             EXPECT_NEAR(prod(i, j), i == j ? 1.0 : 0.0, 1e-9);
+        }
+    }
+}
+
+TEST(LeastSquares, NormalEquationsMatchesReferenceLoop) {
+    // The stored covariance must be the inverse of exactly the classic
+    // column loop nest out(i, j) = sum_k a(k, i) * a(k, j) with its exact-zero
+    // skip, summed in ascending row order. Magnitudes spanning six orders
+    // make any reordering of those additions change some bit.
+    Rng rng(77);
+    const std::size_t rows = 9;
+    const std::size_t cols = 4;
+    Matrix a(rows, cols);
+    std::vector<double> b(rows);
+    for (std::size_t k = 0; k < rows; ++k) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            a(k, j) = std::pow(10.0, rng.uniform(-3.0, 3.0)) *
+                      rng.uniform(-1.0, 1.0);
+        }
+        b[k] = rng.uniform(-10.0, 10.0);
+    }
+    a(0, 0) = 0.0;
+    a(4, 2) = 0.0;
+    a(7, 3) = -0.0;
+    Matrix reference(cols, cols);
+    for (std::size_t i = 0; i < cols; ++i) {
+        for (std::size_t k = 0; k < rows; ++k) {
+            const double v = a(k, i);
+            if (v == 0.0) continue;
+            for (std::size_t j = 0; j < cols; ++j) {
+                reference(i, j) += v * a(k, j);
+            }
+        }
+    }
+    const Matrix expected = invert_spd(reference);
+    const auto r = least_squares(a, b);
+    ASSERT_FALSE(r.rank_deficient);
+    ASSERT_EQ(r.covariance_unscaled.rows(), cols);
+    ASSERT_EQ(r.covariance_unscaled.cols(), cols);
+    for (std::size_t i = 0; i < cols; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            const double got = r.covariance_unscaled(i, j);
+            const double want = expected(i, j);
+            EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+                << "(" << i << ", " << j << "): " << got << " vs " << want;
         }
     }
 }
