@@ -1,5 +1,5 @@
 // extradeep-perf: the performance harness behind BENCH_perf.json and the
-// `perf_gate` ctest, mirroring extradeep-eval's record/threshold machinery.
+// `perf_gate` ctest, on the common record/threshold report path.
 //
 // Three sections:
 //   ingest    - writes a synthetic multi-configuration EDP corpus to disk,
@@ -29,14 +29,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
-#include "eval/report.hpp"
 #include "extradeep/ingest.hpp"
 #include "modeling/fitter.hpp"
 #include "profiling/edp_io.hpp"
@@ -69,31 +68,9 @@ double peak_rss_mb() {
     return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
-std::string git_revision() {
-    std::string rev = "unknown";
-    if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        if (std::fgets(buf, sizeof(buf), p) != nullptr) {
-            std::string s(buf);
-            while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) {
-                s.pop_back();
-            }
-            if (!s.empty()) {
-                rev = s;
-            }
-        }
-        pclose(p);
-    }
-    return rev;
-}
-
-void add_record(std::vector<eval::MetricRecord>& out, const std::string& name,
+void add_record(std::vector<gate::MetricRecord>& out, const std::string& name,
                 const std::string& metric, double value) {
-    eval::MetricRecord r;
-    r.case_name = name;
-    r.metric = metric;
-    r.value = value;
-    out.push_back(std::move(r));
+    out.push_back({name, 0.0, metric, value});
 }
 
 struct Corpus {
@@ -222,31 +199,21 @@ int main(int argc, char** argv) {
     bool keep_files = false;
     double corpus_mb = -1.0;
     int threads = 4;
-    std::string out_path;
-    std::string thresholds_path;
+    cli::Args args(argc, argv, 1);
+    cli::Report report{"extradeep-perf/1", "perf gate", args.command()};
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                throw InvalidArgumentError(std::string(flag) +
-                                           " requires a value");
-            }
-            return argv[++i];
-        };
-        try {
+    try {
+        std::string arg;
+        while (args.next(arg)) {
             if (arg == "--quick") {
                 quick = true;
             } else if (arg == "--keep-files") {
                 keep_files = true;
             } else if (arg == "--corpus-mb") {
-                corpus_mb = std::stod(next_value("--corpus-mb"));
+                corpus_mb = std::stod(args.value(arg));
             } else if (arg == "--threads") {
-                threads = std::stoi(next_value("--threads"));
-            } else if (arg == "--out") {
-                out_path = next_value("--out");
-            } else if (arg == "--thresholds") {
-                thresholds_path = next_value("--thresholds");
+                threads = std::stoi(args.value(arg));
+            } else if (report.parse_flag(arg, args)) {
             } else if (arg == "-h" || arg == "--help") {
                 usage(argv[0]);
                 return 0;
@@ -255,10 +222,10 @@ int main(int argc, char** argv) {
                 usage(argv[0]);
                 return 2;
             }
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 2;
         }
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     }
     if (corpus_mb <= 0.0) {
         corpus_mb = quick ? 24.0 : 128.0;
@@ -266,7 +233,7 @@ int main(int argc, char** argv) {
     const double fit_budget = quick ? 0.2 : 1.0;
 
     try {
-        std::vector<eval::MetricRecord> records;
+        std::vector<gate::MetricRecord> records;
 
         // --- ingest: streaming first, so its RSS delta is measured before
         // the materialising pass inflates the (monotonic) peak.
@@ -323,36 +290,7 @@ int main(int argc, char** argv) {
         }
         std::printf("%s\n", table.to_string().c_str());
 
-        if (!out_path.empty()) {
-            std::ofstream out(out_path);
-            if (!out) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             out_path.c_str());
-                return 2;
-            }
-            out << eval::bench_json(records, git_revision(),
-                                    "extradeep-perf/1");
-            std::printf("wrote %zu records to %s\n", records.size(),
-                        out_path.c_str());
-        }
-
-        if (!thresholds_path.empty()) {
-            const auto thresholds =
-                eval::load_thresholds_file(thresholds_path);
-            const eval::GateResult gate = eval::check_gate(records, thresholds);
-            std::printf("gate: %zu rules, %zu records matched\n",
-                        gate.rules_checked, gate.records_matched);
-            if (!gate.pass) {
-                for (const auto& v : gate.violations) {
-                    std::fprintf(stderr, "GATE VIOLATION: %s\n", v.c_str());
-                }
-                std::fprintf(stderr, "perf gate FAILED (%zu violations)\n",
-                             gate.violations.size());
-                return 1;
-            }
-            std::printf("perf gate passed\n");
-        }
-        return 0;
+        return cli::finish(report, records);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

@@ -16,12 +16,10 @@
 //   extradeep-advisor --thresholds whatif_thresholds.json  # exit 1 on violation
 
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "advisor/verify.hpp"
-#include "common/error.hpp"
+#include "common/cli.hpp"
 
 using namespace extradeep;
 
@@ -34,54 +32,26 @@ void usage(const char* argv0) {
                  argv0);
 }
 
-/// Best-effort git revision for the BENCH_whatif.json trajectory.
-std::string git_revision() {
-    std::string rev = "unknown";
-    if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        if (std::fgets(buf, sizeof(buf), p) != nullptr) {
-            std::string s(buf);
-            while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) {
-                s.pop_back();
-            }
-            if (!s.empty()) {
-                rev = s;
-            }
-        }
-        pclose(p);
-    }
-    return rev;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     advisor::VerifyOptions options;
-    std::string out_path;
-    std::string thresholds_path;
+    cli::Args args(argc, argv, 1);
+    cli::Report report{"extradeep-whatif/1", "what-if accuracy gate",
+                       args.command()};
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                throw InvalidArgumentError(std::string(flag) +
-                                           " requires a value");
-            }
-            return argv[++i];
-        };
-        try {
+    try {
+        std::string arg;
+        while (args.next(arg)) {
             if (arg == "--quick") {
                 options.quick = true;
             } else if (arg == "--seed") {
-                options.seed = std::stoull(next_value("--seed"));
+                options.seed = std::stoull(args.value(arg));
             } else if (arg == "--threads") {
-                options.fit_threads = std::stoi(next_value("--threads"));
+                options.fit_threads = std::stoi(args.value(arg));
             } else if (arg == "--reps") {
-                options.repetitions = std::stoi(next_value("--reps"));
-            } else if (arg == "--out") {
-                out_path = next_value("--out");
-            } else if (arg == "--thresholds") {
-                thresholds_path = next_value("--thresholds");
+                options.repetitions = std::stoi(args.value(arg));
+            } else if (report.parse_flag(arg, args)) {
             } else if (arg == "-h" || arg == "--help") {
                 usage(argv[0]);
                 return 0;
@@ -90,48 +60,16 @@ int main(int argc, char** argv) {
                 usage(argv[0]);
                 return 2;
             }
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 2;
         }
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     }
 
     try {
         const advisor::VerifyOutcome outcome = advisor::run_verify(options);
         std::printf("%s", outcome.table.c_str());
-
-        if (!out_path.empty()) {
-            std::ofstream out(out_path);
-            if (!out) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             out_path.c_str());
-                return 2;
-            }
-            out << advisor::whatif_bench_json(outcome.records,
-                                              git_revision());
-            std::printf("wrote %zu records to %s\n", outcome.records.size(),
-                        out_path.c_str());
-        }
-
-        if (!thresholds_path.empty()) {
-            const auto thresholds =
-                eval::load_thresholds_file(thresholds_path);
-            const eval::GateResult gate =
-                eval::check_gate(outcome.records, thresholds);
-            std::printf("gate: %zu rules, %zu records matched\n",
-                        gate.rules_checked, gate.records_matched);
-            if (!gate.pass) {
-                for (const auto& v : gate.violations) {
-                    std::fprintf(stderr, "GATE VIOLATION: %s\n", v.c_str());
-                }
-                std::fprintf(stderr,
-                             "what-if accuracy gate FAILED (%zu violations)\n",
-                             gate.violations.size());
-                return 1;
-            }
-            std::printf("what-if accuracy gate passed\n");
-        }
-        return 0;
+        return cli::finish(report, outcome.records);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

@@ -6,7 +6,6 @@
 #include "advisor/ground_truth.hpp"
 #include "advisor/whatif.hpp"
 #include "common/format.hpp"
-#include "common/json.hpp"
 #include "extradeep/runner.hpp"
 
 namespace extradeep::advisor {
@@ -91,7 +90,7 @@ VerifyOutcome run_verify(const VerifyOptions& options) {
                 const bool cover = row.truth.saving >= row.pred.lower &&
                                    row.truth.saving <= row.pred.upper;
                 covered += cover ? 1 : 0;
-                out.records.push_back(eval::MetricRecord{
+                out.records.push_back(gate::MetricRecord{
                     point + "/" + row.pred.spec, 0.0, "saving_err_pct", err,
                     options.seed});
                 table << "    " << row.pred.spec << ": pred="
@@ -128,9 +127,9 @@ VerifyOutcome run_verify(const VerifyOptions& options) {
                     ? 1.0
                     : static_cast<double>(concordant) /
                           static_cast<double>(decided);
-            out.records.push_back(eval::MetricRecord{
+            out.records.push_back(gate::MetricRecord{
                 point, 0.0, "ranking_agreement", agreement, options.seed});
-            out.records.push_back(eval::MetricRecord{
+            out.records.push_back(gate::MetricRecord{
                 point, 0.0, "interval_coverage",
                 static_cast<double>(covered) /
                     static_cast<double>(rows.size()),
@@ -145,26 +144,6 @@ VerifyOutcome run_verify(const VerifyOptions& options) {
     }
     out.table = table.str();
     return out;
-}
-
-std::string whatif_bench_json(const std::vector<eval::MetricRecord>& records,
-                              const std::string& git_rev) {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"extradeep-whatif/1\",\n";
-    os << "  \"git_rev\": " << json::quote(git_rev) << ",\n";
-    os << "  \"records\": [\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const eval::MetricRecord& r = records[i];
-        os << "    {\"case\": " << json::quote(r.case_name)
-           << ", \"noise\": " << json::number(r.noise)
-           << ", \"metric\": " << json::quote(r.metric)
-           << ", \"value\": " << json::number(r.value)
-           << ", \"seed\": " << r.seed << "}"
-           << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    return os.str();
 }
 
 }  // namespace extradeep::advisor

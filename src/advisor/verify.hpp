@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "eval/report.hpp"
+#include "common/gate.hpp"
 
 namespace extradeep::advisor {
 
@@ -21,10 +21,10 @@ struct VerifyOptions {
     int repetitions = 0;
 };
 
-/// Harness output: gateable metric records (reusing the eval gate schema)
+/// Harness output: gateable metric records (the common BENCH record)
 /// plus a human-readable results table.
 struct VerifyOutcome {
-    std::vector<eval::MetricRecord> records;
+    std::vector<gate::MetricRecord> records;
     std::string table;
 };
 
@@ -35,10 +35,5 @@ struct VerifyOutcome {
 /// `ranking_agreement` (concordance over scenario pairs whose predicted
 /// intervals do not overlap) and `interval_coverage` records.
 VerifyOutcome run_verify(const VerifyOptions& options);
-
-/// Serialises records as the BENCH_whatif.json document:
-///   {"schema": "extradeep-whatif/1", "git_rev": "...", "records": [...]}
-std::string whatif_bench_json(const std::vector<eval::MetricRecord>& records,
-                              const std::string& git_rev);
 
 }  // namespace extradeep::advisor

@@ -1,85 +1,97 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace extradeep::gate {
 
-/// Shared threshold-gate core. The regression gates (eval accuracy, perf
-/// throughput, what-if advisor, fleet drift, serve load, plan budget) all
-/// enforce the same "rules match samples" semantics: wildcard scope "*",
-/// wildcard noise (negative), optional min/max bounds, and the
-/// unmatched-rule-is-a-violation guard - a renamed metric or removed case
-/// must not silently disable its threshold. This is the single
-/// implementation; the per-gate front-ends map their record types onto
-/// Sample and render Violation into their established message strings.
+/// The one report path of every regression harness (eval accuracy, perf
+/// throughput, what-if advisor, fleet drift, serve load, plan budget): one
+/// record type, one BENCH_*.json writer and one threshold dialect. Rules
+/// match records on metric, case (wildcard "*") and noise (negative = any);
+/// a rule that matches no record is itself a violation, so a renamed metric
+/// or removed case cannot silently disable its threshold.
 
-/// One measured data point a gate rule can match.
-struct Sample {
-    std::string scope;      ///< case name / loadgen mode / plan case
-    double noise = -1.0;    ///< noise level; negative = not applicable
+/// One machine-readable data point. The (case, noise, metric, value, seed)
+/// tuple is the stable record layout of every BENCH_*.json file; harnesses
+/// without a noise or seed dimension leave the defaults.
+struct MetricRecord {
+    std::string case_name;
+    double noise = 0.0;
     std::string metric;
     double value = 0.0;
+    std::uint64_t seed = 1;
 };
 
-/// One gate rule. `scope` may be "*" (match any sample scope); `noise` may
-/// be negative (match any noise level). At least one of min/max is set by
-/// every parsed rule unless the front-end's RuleDocSpec says otherwise.
+/// A harness-specific top-level BENCH member: its name and its already
+/// rendered JSON value.
+using Member = std::pair<std::string, std::string>;
+
+/// Where a BENCH file came from.
+struct Provenance {
+    std::string git_rev = "unknown";
+    std::vector<std::string> command;  ///< the argv that produced the file
+};
+
+/// Renders a BENCH_*.json document:
+///   {"schema": "<schema>", "git_rev": "...", "command": [...],
+///    <extra members>, "records": [...]}
+/// The schema tag names the producing harness (e.g. extradeep-eval/1).
+/// Numbers are rendered locale-independently; a non-finite value throws
+/// InvalidArgumentError rather than being written as 'nan'.
+std::string bench_json(const std::string& schema,
+                       const std::vector<MetricRecord>& records,
+                       const std::vector<Member>& extra_members,
+                       const Provenance& provenance);
+
+/// One threshold rule. `case_name` may be "*" (any case); `noise` may be
+/// negative (any noise level). Every parsed rule sets min, max or both.
 struct Rule {
-    std::string scope = "*";
+    std::string case_name = "*";
     double noise = -1.0;
     std::string metric;
     std::optional<double> min;
     std::optional<double> max;
 };
 
-/// A structured gate violation. The indices point back into the rule and
-/// sample vectors handed to check_rules so front-ends can format messages
-/// in their own established style.
+/// Parses a thresholds document:
+///   {"thresholds": [{"case": "*", "noise": 0.0,
+///                    "metric": "exponent_recovery", "min": 1.0}, ...]}
+/// "case" and "noise" are optional (wildcards). Throws ParseError, prefixed
+/// with `what`, on malformed JSON, a missing or empty "thresholds" array, a
+/// rule without a metric string, non-number bounds, or a rule with neither
+/// "min" nor "max".
+std::vector<Rule> parse_rules(const std::string& json_text,
+                              const std::string& what = "thresholds JSON");
+
+/// A gate violation: which rule, which record (meaningless for Unmatched),
+/// the breached bound, and the human-readable message the CLIs print.
 struct Violation {
     enum class Kind { BelowMin, AboveMax, Unmatched };
     Kind kind = Kind::Unmatched;
-    std::size_t rule = 0;    ///< index into the rules vector
-    std::size_t sample = 0;  ///< index into samples (meaningless for Unmatched)
-    double bound = 0.0;      ///< the breached min/max (0 for Unmatched)
+    std::size_t rule = 0;
+    std::size_t record = 0;
+    double bound = 0.0;
+    std::string message;
 };
 
 struct Outcome {
     bool pass = true;
     std::size_t rules_checked = 0;
-    /// Sum over rules of the number of samples each rule matched.
-    std::size_t samples_matched = 0;
+    /// Sum over rules of the number of records each rule matched.
+    std::size_t records_matched = 0;
     std::vector<Violation> violations;
 };
 
-/// Checks every rule against every sample. Iteration is rule-major and
-/// sample-minor, and a sample breaching both bounds emits BelowMin before
-/// AboveMax, so violation order is stable and matches the historical gate
-/// output of every front-end. A rule that matched no sample at all yields
-/// one Unmatched violation.
-Outcome check_rules(const std::vector<Sample>& samples,
+/// Checks every rule against every record. Iteration is rule-major and
+/// record-minor, and a record breaching both bounds yields BelowMin before
+/// AboveMax, so violation order is stable. A rule that matched no record
+/// yields one Unmatched violation.
+Outcome check_rules(const std::vector<MetricRecord>& records,
                     const std::vector<Rule>& rules);
-
-/// Schema knobs for parse_rules, covering the dialect differences between
-/// the gate front-ends (eval-style thresholds vs serve-style load rules).
-struct RuleDocSpec {
-    std::string what = "thresholds JSON";  ///< error-message prefix
-    std::string array_key = "thresholds";  ///< top-level rule-array member
-    std::string scope_key = "case";        ///< per-rule scope member
-    bool parse_noise = true;               ///< accept a "noise" member
-    bool require_bound = true;             ///< each rule needs min or max
-    bool allow_empty = false;              ///< tolerate an empty rule array
-};
-
-/// Parses a rules document:
-///   {"<array_key>": [{"<scope_key>": "*", "noise": 0.0,
-///                     "metric": "exponent_recovery", "min": 1.0}, ...]}
-/// Throws ParseError (prefixed with spec.what) on malformed JSON, a missing
-/// rule array, non-string metric, non-number bounds, a rule without bounds
-/// when spec.require_bound, or an empty array unless spec.allow_empty.
-std::vector<Rule> parse_rules(const std::string& json_text,
-                              const RuleDocSpec& spec);
 
 }  // namespace extradeep::gate

@@ -18,13 +18,10 @@
 //   extradeep-eval --list
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "eval/oracle.hpp"
 #include "eval/report.hpp"
@@ -46,62 +43,11 @@ void usage(const char* argv0) {
         argv0);
 }
 
-std::vector<double> parse_noise_list(const std::string& arg) {
-    std::vector<double> out;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-        const std::size_t comma = arg.find(',', pos);
-        const std::string token =
-            arg.substr(pos, comma == std::string::npos ? std::string::npos
-                                                       : comma - pos);
-        if (token.empty()) {
-            throw InvalidArgumentError("--noise: empty entry in '" + arg + "'");
-        }
-        std::size_t used = 0;
-        const double v = std::stod(token, &used);
-        if (used != token.size() || v < 0.0) {
-            throw InvalidArgumentError("--noise: bad sigma '" + token + "'");
-        }
-        out.push_back(v);
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    return out;
-}
-
-/// Best-effort git revision for the BENCH_eval.json trajectory.
-std::string git_revision() {
-    std::string rev = "unknown";
-    if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        if (std::fgets(buf, sizeof(buf), p) != nullptr) {
-            std::string s(buf);
-            while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) {
-                s.pop_back();
-            }
-            if (!s.empty()) {
-                rev = s;
-            }
-        }
-        pclose(p);
-    }
-    return rev;
-}
-
 /// CI helper: parse FILE with the common JSON parser; exit 0 iff it is one
 /// well-formed document. Lets scripts validate Chrome trace exports without
 /// relying on an external JSON tool.
 int validate_json_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
-        return 1;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const json::Value doc = json::parse(buffer.str(), path);
+    const json::Value doc = json::parse(cli::read_text_file(path), path);
     const char* kind = doc.kind == json::Value::Kind::Object   ? "object"
                        : doc.kind == json::Value::Kind::Array  ? "array"
                        : doc.kind == json::Value::Kind::String ? "string"
@@ -136,24 +82,17 @@ int main(int argc, char** argv) {
     bool keep_files = false;
     std::vector<std::string> only_cases;
     std::vector<double> noise_levels;
-    std::string out_path;
-    std::string thresholds_path;
     std::string trace_spec;
     bool trace_given = false;
     std::string validate_json_path;
     std::string validate_edp_path;
     eval::ScoreOptions options;
+    cli::Args args(argc, argv, 1);
+    cli::Report report{"extradeep-eval/1", "accuracy gate", args.command()};
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                throw InvalidArgumentError(std::string(flag) +
-                                           " requires a value");
-            }
-            return argv[++i];
-        };
-        try {
+    try {
+        std::string arg;
+        while (args.next(arg)) {
             if (arg == "--quick") {
                 quick = true;
             } else if (arg == "--list") {
@@ -161,24 +100,21 @@ int main(int argc, char** argv) {
             } else if (arg == "--keep-files") {
                 keep_files = true;
             } else if (arg == "--case") {
-                only_cases.push_back(next_value("--case"));
+                only_cases.push_back(args.value(arg));
             } else if (arg == "--noise") {
-                noise_levels = parse_noise_list(next_value("--noise"));
+                noise_levels = cli::parse_noise_list(args.value(arg));
             } else if (arg == "--seed") {
-                options.seed = std::stoull(next_value("--seed"));
+                options.seed = std::stoull(args.value(arg));
             } else if (arg == "--threads") {
-                options.fit_threads = std::stoi(next_value("--threads"));
-            } else if (arg == "--out") {
-                out_path = next_value("--out");
-            } else if (arg == "--thresholds") {
-                thresholds_path = next_value("--thresholds");
+                options.fit_threads = std::stoi(args.value(arg));
             } else if (arg == "--trace") {
-                trace_spec = next_value("--trace");
+                trace_spec = args.value(arg);
                 trace_given = true;
             } else if (arg == "--validate-json") {
-                validate_json_path = next_value("--validate-json");
+                validate_json_path = args.value(arg);
             } else if (arg == "--validate-edp") {
-                validate_edp_path = next_value("--validate-edp");
+                validate_edp_path = args.value(arg);
+            } else if (report.parse_flag(arg, args)) {
             } else if (arg == "-h" || arg == "--help") {
                 usage(argv[0]);
                 return 0;
@@ -187,10 +123,10 @@ int main(int argc, char** argv) {
                 usage(argv[0]);
                 return 2;
             }
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 2;
         }
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     }
     options.keep_files = keep_files;
 
@@ -254,37 +190,7 @@ int main(int argc, char** argv) {
             }
         }
 
-        const std::vector<eval::MetricRecord> records = eval::to_records(scores);
-        if (!out_path.empty()) {
-            std::ofstream out(out_path);
-            if (!out) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             out_path.c_str());
-                return 2;
-            }
-            out << eval::bench_json(records, git_revision());
-            std::printf("wrote %zu records to %s\n", records.size(),
-                        out_path.c_str());
-        }
-
-        if (!thresholds_path.empty()) {
-            const auto thresholds =
-                eval::load_thresholds_file(thresholds_path);
-            const eval::GateResult gate =
-                eval::check_gate(records, thresholds);
-            std::printf("gate: %zu rules, %zu records matched\n",
-                        gate.rules_checked, gate.records_matched);
-            if (!gate.pass) {
-                for (const auto& v : gate.violations) {
-                    std::fprintf(stderr, "GATE VIOLATION: %s\n", v.c_str());
-                }
-                std::fprintf(stderr, "accuracy gate FAILED (%zu violations)\n",
-                             gate.violations.size());
-                return 1;
-            }
-            std::printf("accuracy gate passed\n");
-        }
-        return 0;
+        return cli::finish(report, eval::to_records(scores));
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

@@ -1,35 +1,21 @@
 #include "eval/report.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
-#include "common/error.hpp"
 #include "common/format.hpp"
-#include "common/gate.hpp"
-#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace extradeep::eval {
 
 namespace {
 
-void add_record(std::vector<MetricRecord>& out, const CaseScore& s,
+void add_record(std::vector<gate::MetricRecord>& out, const CaseScore& s,
                 const std::string& metric, double value) {
-    MetricRecord r;
-    r.case_name = s.case_name;
-    r.noise = s.noise;
-    r.metric = metric;
-    r.value = value;
-    r.seed = s.seed;
-    out.push_back(std::move(r));
+    out.push_back({s.case_name, s.noise, metric, value, s.seed});
 }
 
 }  // namespace
 
-std::vector<MetricRecord> to_records(const CaseScore& s) {
-    std::vector<MetricRecord> out;
+std::vector<gate::MetricRecord> to_records(const CaseScore& s) {
+    std::vector<gate::MetricRecord> out;
     add_record(out, s, "exponent_recovery", s.exact_recovery ? 1.0 : 0.0);
     add_record(out, s, "smape_in_range", s.smape_in_range);
     add_record(out, s, "extrap_error_2x", s.extrap_error[0]);
@@ -46,8 +32,9 @@ std::vector<MetricRecord> to_records(const CaseScore& s) {
     return out;
 }
 
-std::vector<MetricRecord> to_records(const std::vector<CaseScore>& scores) {
-    std::vector<MetricRecord> out;
+std::vector<gate::MetricRecord> to_records(
+    const std::vector<CaseScore>& scores) {
+    std::vector<gate::MetricRecord> out;
     for (const auto& s : scores) {
         const auto records = to_records(s);
         out.insert(out.end(), records.begin(), records.end());
@@ -70,94 +57,6 @@ std::string render_table(const std::vector<CaseScore>& scores) {
                        fmt::fixed(s.hypotheses_per_sec, 0)});
     }
     return table.to_string();
-}
-
-std::string bench_json(const std::vector<MetricRecord>& records,
-                       const std::string& git_rev, const std::string& schema) {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": " << json::quote(schema) << ",\n";
-    os << "  \"git_rev\": " << json::quote(git_rev) << ",\n";
-    os << "  \"records\": [\n";
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const MetricRecord& r = records[i];
-        os << "    {\"case\": " << json::quote(r.case_name)
-           << ", \"noise\": " << json::number(r.noise)
-           << ", \"metric\": " << json::quote(r.metric)
-           << ", \"value\": " << json::number(r.value)
-           << ", \"seed\": " << r.seed << "}"
-           << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    return os.str();
-}
-
-std::vector<Threshold> parse_thresholds(const std::string& json_text) {
-    // Dialect and error-message prefix are the RuleDocSpec defaults; only the
-    // field names differ between gate::Rule and the public Threshold struct.
-    const std::vector<gate::Rule> rules =
-        gate::parse_rules(json_text, gate::RuleDocSpec{});
-    std::vector<Threshold> out;
-    out.reserve(rules.size());
-    for (const gate::Rule& rule : rules) {
-        Threshold t;
-        t.case_name = rule.scope;
-        t.noise = rule.noise;
-        t.metric = rule.metric;
-        t.min = rule.min;
-        t.max = rule.max;
-        out.push_back(std::move(t));
-    }
-    return out;
-}
-
-std::vector<Threshold> load_thresholds_file(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
-        throw Error("load_thresholds_file: cannot open " + path);
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    return parse_thresholds(os.str());
-}
-
-GateResult check_gate(const std::vector<MetricRecord>& records,
-                      const std::vector<Threshold>& thresholds) {
-    std::vector<gate::Sample> samples;
-    samples.reserve(records.size());
-    for (const MetricRecord& r : records) {
-        samples.push_back({r.case_name, r.noise, r.metric, r.value});
-    }
-    std::vector<gate::Rule> rules;
-    rules.reserve(thresholds.size());
-    for (const Threshold& t : thresholds) {
-        rules.push_back({t.case_name, t.noise, t.metric, t.min, t.max});
-    }
-    const gate::Outcome outcome = gate::check_rules(samples, rules);
-
-    GateResult result;
-    result.pass = outcome.pass;
-    result.rules_checked = outcome.rules_checked;
-    result.records_matched = outcome.samples_matched;
-    for (const gate::Violation& v : outcome.violations) {
-        if (v.kind == gate::Violation::Kind::Unmatched) {
-            const Threshold& t = thresholds[v.rule];
-            result.violations.push_back(
-                "threshold for metric '" + t.metric + "' (case " +
-                t.case_name + ") matched no record - the gate would be "
-                "silently disabled");
-            continue;
-        }
-        const MetricRecord& r = records[v.sample];
-        std::ostringstream where;
-        where << r.case_name << " @ noise " << fmt::fixed(r.noise, 3) << ": "
-              << r.metric << " = " << json::number(r.value);
-        result.violations.push_back(
-            where.str() +
-            (v.kind == gate::Violation::Kind::BelowMin ? " < min " : " > max ") +
-            json::number(v.bound));
-    }
-    return result;
 }
 
 }  // namespace extradeep::eval

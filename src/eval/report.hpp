@@ -1,74 +1,23 @@
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/gate.hpp"
 #include "eval/scorer.hpp"
 
 namespace extradeep::eval {
-
-/// One machine-readable accuracy/perf data point. The (case, noise, metric,
-/// value, seed) tuple is the stable schema of BENCH_eval.json; later PRs
-/// append runs with new git revisions to trace the accuracy trajectory.
-struct MetricRecord {
-    std::string case_name;
-    double noise = 0.0;
-    std::string metric;
-    double value = 0.0;
-    std::uint64_t seed = 1;
-};
 
 /// Flattens a score into records. Deterministic metrics come first
 /// (exponent_recovery, smape_in_range, extrap_error_{2x,4x,8x},
 /// pi_coverage, and cost_smape when applicable), then throughput metrics
 /// (fit_seconds, hypotheses_searched, hypotheses_per_sec), which are
 /// machine-dependent and never gated.
-std::vector<MetricRecord> to_records(const CaseScore& score);
-std::vector<MetricRecord> to_records(const std::vector<CaseScore>& scores);
+std::vector<gate::MetricRecord> to_records(const CaseScore& score);
+std::vector<gate::MetricRecord> to_records(
+    const std::vector<CaseScore>& scores);
 
 /// Human-readable results table (one row per case x noise).
 std::string render_table(const std::vector<CaseScore>& scores);
-
-/// Serialises records as a BENCH_*.json document:
-///   {"schema": "<schema>", "git_rev": "...", "records": [...]}
-/// The schema tag names the producing harness (extradeep-eval/1 for the
-/// accuracy suite, extradeep-perf/1 for the performance suite); numbers are
-/// rendered locale-independently and round-trip exactly enough for gate
-/// checking.
-std::string bench_json(const std::vector<MetricRecord>& records,
-                       const std::string& git_rev,
-                       const std::string& schema = "extradeep-eval/1");
-
-/// One gate rule from eval_thresholds.json. `case_name` may be "*" (any
-/// case); `noise` may be -1 (any noise level). A rule must match at least
-/// one record, otherwise the gate fails - a renamed metric or removed case
-/// must not silently disable its threshold.
-struct Threshold {
-    std::string case_name = "*";
-    double noise = -1.0;
-    std::string metric;
-    std::optional<double> min;
-    std::optional<double> max;
-};
-
-/// Parses a thresholds document:
-///   {"thresholds": [{"case": "*", "noise": 0.0,
-///                    "metric": "exponent_recovery", "min": 1.0}, ...]}
-/// Throws ParseError on malformed JSON or missing fields.
-std::vector<Threshold> parse_thresholds(const std::string& json_text);
-std::vector<Threshold> load_thresholds_file(const std::string& path);
-
-/// Result of checking records against thresholds.
-struct GateResult {
-    bool pass = true;
-    std::size_t rules_checked = 0;
-    std::size_t records_matched = 0;
-    std::vector<std::string> violations;
-};
-
-GateResult check_gate(const std::vector<MetricRecord>& records,
-                      const std::vector<Threshold>& thresholds);
 
 }  // namespace extradeep::eval

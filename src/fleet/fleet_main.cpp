@@ -23,16 +23,15 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/format.hpp"
-#include "eval/report.hpp"
 #include "fleet/continuous.hpp"
 #include "fleet/scenario.hpp"
 #include "obs/session.hpp"
@@ -100,34 +99,10 @@ hw::SystemSpec parse_system(const std::string& name) {
                                "' (expected DEEP or JURECA)");
 }
 
-/// Simple flag cursor shared by all modes (same shape as extradeep-serve).
-class Args {
-public:
-    Args(int argc, char** argv, int first)
-        : argc_(argc), argv_(argv), i_(first) {}
-    bool next(std::string& arg) {
-        if (i_ >= argc_) {
-            return false;
-        }
-        arg = argv_[i_++];
-        return true;
-    }
-    std::string value(const std::string& flag) {
-        if (i_ >= argc_) {
-            throw InvalidArgumentError(flag + " requires a value");
-        }
-        return argv_[i_++];
-    }
-
-private:
-    int argc_;
-    char** argv_;
-    int i_;
-};
-
 /// Spec flags shared by serve and drive (daemon and collector must agree on
 /// the experiment template). Returns true if `arg` was consumed.
-bool parse_spec_flag(const std::string& arg, Args& args, ExperimentSpec& spec) {
+bool parse_spec_flag(const std::string& arg, cli::Args& args,
+                     ExperimentSpec& spec) {
     if (arg == "--dataset") {
         spec.dataset = args.value(arg);
     } else if (arg == "--system") {
@@ -148,34 +123,6 @@ bool parse_spec_flag(const std::string& arg, Args& args, ExperimentSpec& spec) {
     return true;
 }
 
-std::string git_revision() {
-    std::string rev = "unknown";
-    if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64];
-        if (fgets(buf, sizeof(buf), p) != nullptr) {
-            rev = buf;
-            while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-                rev.pop_back();
-            }
-        }
-        pclose(p);
-        if (rev.empty()) {
-            rev = "unknown";
-        }
-    }
-    return rev;
-}
-
-std::string read_text_file(const std::string& path, const char* what) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw Error(std::string(what) + ": cannot read '" + path + "'");
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
 serve::ServeDaemon* g_daemon = nullptr;
 
 void handle_signal(int) {
@@ -184,7 +131,7 @@ void handle_signal(int) {
     }
 }
 
-int run_serve(Args args) {
+int run_serve(cli::Args args) {
     fleet::FleetOptions fleet_opts;
     serve::ServerOptions server_opts;
     server_opts.max_request_line = 32u << 20;  // ingest payloads
@@ -274,7 +221,7 @@ long long stats_field(const std::string& line, const std::string& key) {
     }
 }
 
-int run_drive(Args args) {
+int run_drive(cli::Args args) {
     std::string host = "127.0.0.1";
     int port = 0;
     std::string spool_dir;
@@ -439,7 +386,7 @@ int run_drive(Args args) {
     return 0;
 }
 
-int run_query(Args args) {
+int run_query(cli::Args args) {
     std::string host = "127.0.0.1";
     int port = 0;
     std::vector<std::string> requests;
@@ -462,61 +409,34 @@ int run_query(Args args) {
     return 0;
 }
 
-int run_quick(Args args) {
+int run_quick(cli::Args args) {
     fleet::ScenarioOptions options;
-    std::string thresholds_path;
-    std::string out_path;
+    cli::Report report{"extradeep-fleet/1", "fleet drift gate",
+                       args.command()};
     std::string arg;
     while (args.next(arg)) {
-        if (arg == "--thresholds") {
-            thresholds_path = args.value(arg);
-        } else if (arg == "--out") {
-            out_path = args.value(arg);
-        } else if (arg == "--verbose") {
+        if (arg == "--verbose") {
             options.verbose = true;
-        } else if (parse_spec_flag(arg, args, options.spec)) {
+        } else if (report.parse_flag(arg, args) ||
+                   parse_spec_flag(arg, args, options.spec)) {
         } else {
             throw InvalidArgumentError("--quick: unknown option '" + arg +
                                        "'");
         }
     }
-    const fleet::ScenarioReport report = fleet::run_drift_scenario(options);
-    for (const auto& r : report.records) {
+    const fleet::ScenarioReport result = fleet::run_drift_scenario(options);
+    for (const auto& r : result.records) {
         std::printf("%-8s %-24s %s\n", r.case_name.c_str(), r.metric.c_str(),
                     fmt::shortest(r.value).c_str());
     }
     std::printf("fleet-stats: accepted=%llu quarantined=%llu refits=%llu "
                 "swaps=%llu stale=%llu\n",
-                static_cast<unsigned long long>(report.stats.accepted),
-                static_cast<unsigned long long>(report.stats.quarantined),
-                static_cast<unsigned long long>(report.stats.refits),
-                static_cast<unsigned long long>(report.stats.swaps),
-                static_cast<unsigned long long>(report.stats.stale_discarded));
-    if (!out_path.empty()) {
-        const std::string doc = eval::bench_json(report.records,
-                                                 git_revision(),
-                                                 "extradeep-fleet/1");
-        std::ofstream out(out_path, std::ios::binary);
-        if (!out || !(out << doc)) {
-            throw Error("--quick: cannot write '" + out_path + "'");
-        }
-        std::printf("wrote %s\n", out_path.c_str());
-    }
-    if (!thresholds_path.empty()) {
-        const auto thresholds = eval::parse_thresholds(
-            read_text_file(thresholds_path, "--quick"));
-        const eval::GateResult gate =
-            eval::check_gate(report.records, thresholds);
-        if (!gate.pass) {
-            for (const auto& v : gate.violations) {
-                std::fprintf(stderr, "threshold violation: %s\n", v.c_str());
-            }
-            return 1;
-        }
-        std::printf("thresholds ok (%zu rules, %s)\n", gate.rules_checked,
-                    thresholds_path.c_str());
-    }
-    return 0;
+                static_cast<unsigned long long>(result.stats.accepted),
+                static_cast<unsigned long long>(result.stats.quarantined),
+                static_cast<unsigned long long>(result.stats.refits),
+                static_cast<unsigned long long>(result.stats.swaps),
+                static_cast<unsigned long long>(result.stats.stale_discarded));
+    return cli::finish(report, result.records);
 }
 
 }  // namespace
@@ -528,7 +448,7 @@ int main(int argc, char** argv) {
     }
     const std::string mode = argv[1];
     try {
-        Args args(argc, argv, 2);
+        cli::Args args(argc, argv, 2);
         if (mode == "serve") {
             return run_serve(args);
         }

@@ -298,7 +298,7 @@ ScenarioReport run_drift_scenario(const ScenarioOptions& options) {
     const auto record = [&](const std::string& case_name,
                             const std::string& metric, double value) {
         report.records.push_back(
-            eval::MetricRecord{case_name, 0.0, metric, value, seed});
+            gate::MetricRecord{case_name, 0.0, metric, value, seed});
     };
     record("drift", "converged", converged ? 1.0 : 0.0);
     record("drift", "convergence_lag_runs",

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "eval/report.hpp"
+#include "common/gate.hpp"
 #include "extradeep/runner.hpp"
 #include "fleet/continuous.hpp"
 #include "sim/drift.hpp"
@@ -57,7 +57,7 @@ struct ScenarioReport {
     /// (the paper-facing tracking metric; ranks.size() runs per round).
     int convergence_lag_runs = 0;
     FleetStats stats;
-    std::vector<eval::MetricRecord> records;
+    std::vector<gate::MetricRecord> records;
 };
 
 /// Runs the full loop end to end, all over real TCP: daemon with an

@@ -20,12 +20,10 @@
 //   extradeep-plan --list
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
+#include "common/cli.hpp"
 #include "eval/oracle.hpp"
 #include "obs/session.hpp"
 #include "planner/report.hpp"
@@ -42,50 +40,6 @@ void usage(const char* argv0) {
         "          [--target-rel-width W] [--out FILE] [--thresholds FILE]\n"
         "          [--list] [--trace SPEC]\n",
         argv0);
-}
-
-std::vector<double> parse_noise_list(const std::string& arg) {
-    std::vector<double> out;
-    std::size_t pos = 0;
-    while (pos <= arg.size()) {
-        const std::size_t comma = arg.find(',', pos);
-        const std::string token =
-            arg.substr(pos, comma == std::string::npos ? std::string::npos
-                                                       : comma - pos);
-        if (token.empty()) {
-            throw InvalidArgumentError("--noise: empty entry in '" + arg + "'");
-        }
-        std::size_t used = 0;
-        const double v = std::stod(token, &used);
-        if (used != token.size() || v < 0.0) {
-            throw InvalidArgumentError("--noise: bad sigma '" + token + "'");
-        }
-        out.push_back(v);
-        if (comma == std::string::npos) {
-            break;
-        }
-        pos = comma + 1;
-    }
-    return out;
-}
-
-/// Best-effort git revision for the BENCH_plan.json trajectory.
-std::string git_revision() {
-    std::string rev = "unknown";
-    if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-        char buf[64] = {};
-        if (std::fgets(buf, sizeof(buf), p) != nullptr) {
-            std::string s(buf);
-            while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) {
-                s.pop_back();
-            }
-            if (!s.empty()) {
-                rev = s;
-            }
-        }
-        pclose(p);
-    }
-    return rev;
 }
 
 /// The ASan-reduced smoke subset: two representative single-parameter
@@ -110,23 +64,16 @@ int main(int argc, char** argv) {
     bool list = false;
     std::vector<std::string> only_cases;
     std::vector<double> noise_levels;
-    std::string out_path;
-    std::string thresholds_path;
     std::string trace_spec;
     bool trace_given = false;
     std::uint64_t seed = 1;
     planner::PlanOptions options;
+    cli::Args args(argc, argv, 1);
+    cli::Report report{"extradeep-plan/1", "plan gate", args.command()};
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next_value = [&](const char* flag) -> std::string {
-            if (i + 1 >= argc) {
-                throw InvalidArgumentError(std::string(flag) +
-                                           " requires a value");
-            }
-            return argv[++i];
-        };
-        try {
+    try {
+        std::string arg;
+        while (args.next(arg)) {
             if (arg == "--quick") {
                 quick = true;
             } else if (arg == "--smoke") {
@@ -134,28 +81,23 @@ int main(int argc, char** argv) {
             } else if (arg == "--list") {
                 list = true;
             } else if (arg == "--case") {
-                only_cases.push_back(next_value("--case"));
+                only_cases.push_back(args.value(arg));
             } else if (arg == "--noise") {
-                noise_levels = parse_noise_list(next_value("--noise"));
+                noise_levels = cli::parse_noise_list(args.value(arg));
             } else if (arg == "--seed") {
-                seed = std::stoull(next_value("--seed"));
+                seed = std::stoull(args.value(arg));
             } else if (arg == "--threads") {
-                options.num_threads = std::stoi(next_value("--threads"));
+                options.num_threads = std::stoi(args.value(arg));
             } else if (arg == "--budget") {
-                options.budget = std::stoi(next_value("--budget"));
+                options.budget = std::stoi(args.value(arg));
             } else if (arg == "--max-pulls") {
-                options.max_pulls_per_arm =
-                    std::stoi(next_value("--max-pulls"));
+                options.max_pulls_per_arm = std::stoi(args.value(arg));
             } else if (arg == "--target-rel-width") {
-                options.target_rel_width =
-                    std::stod(next_value("--target-rel-width"));
-            } else if (arg == "--out") {
-                out_path = next_value("--out");
-            } else if (arg == "--thresholds") {
-                thresholds_path = next_value("--thresholds");
+                options.target_rel_width = std::stod(args.value(arg));
             } else if (arg == "--trace") {
-                trace_spec = next_value("--trace");
+                trace_spec = args.value(arg);
                 trace_given = true;
+            } else if (report.parse_flag(arg, args)) {
             } else if (arg == "-h" || arg == "--help") {
                 usage(argv[0]);
                 return 0;
@@ -164,10 +106,10 @@ int main(int argc, char** argv) {
                 usage(argv[0]);
                 return 2;
             }
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 2;
         }
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     }
 
     try {
@@ -226,36 +168,8 @@ int main(int argc, char** argv) {
             }
         }
 
-        const std::vector<eval::MetricRecord> records =
-            planner::to_records(reports);
-        if (!out_path.empty()) {
-            std::ofstream out(out_path);
-            if (!out) {
-                std::fprintf(stderr, "error: cannot write %s\n",
-                             out_path.c_str());
-                return 2;
-            }
-            out << planner::plan_json(reports, git_revision());
-            std::printf("wrote %zu plans (%zu records) to %s\n",
-                        reports.size(), records.size(), out_path.c_str());
-        }
-
-        if (!thresholds_path.empty()) {
-            const eval::GateResult gate =
-                planner::check_plan_gate_file(records, thresholds_path);
-            std::printf("gate: %zu rules, %zu records matched\n",
-                        gate.rules_checked, gate.records_matched);
-            if (!gate.pass) {
-                for (const auto& v : gate.violations) {
-                    std::fprintf(stderr, "GATE VIOLATION: %s\n", v.c_str());
-                }
-                std::fprintf(stderr, "plan gate FAILED (%zu violations)\n",
-                             gate.violations.size());
-                return 1;
-            }
-            std::printf("plan gate passed\n");
-        }
-        return 0;
+        return cli::finish(report, planner::to_records(reports),
+                           planner::bench_members(reports));
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;

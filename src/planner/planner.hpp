@@ -84,7 +84,7 @@ struct PlanRound {
 
 /// A finished plan: what was measured, in what order, what it cost, and the
 /// model the surviving data supports. Serialised as schema extradeep-plan/1
-/// by planner::plan_json.
+/// by planner::bench_members.
 struct PlanResult {
     double runs_used = 0.0;
     double baseline_runs = 0.0;       ///< fixed-grid cost of the same case

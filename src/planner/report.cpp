@@ -1,12 +1,9 @@
 #include "planner/report.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
-#include "common/error.hpp"
 #include "common/format.hpp"
-#include "common/gate.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "obs/trace.hpp"
@@ -48,23 +45,17 @@ std::vector<PlanCaseReport> plan_suite(
 
 namespace {
 
-void add_record(std::vector<eval::MetricRecord>& out,
+void add_record(std::vector<gate::MetricRecord>& out,
                 const std::string& case_name, double noise,
                 std::uint64_t seed, const std::string& metric, double value) {
-    eval::MetricRecord r;
-    r.case_name = case_name;
-    r.noise = noise;
-    r.metric = metric;
-    r.value = value;
-    r.seed = seed;
-    out.push_back(std::move(r));
+    out.push_back({case_name, noise, metric, value, seed});
 }
 
 }  // namespace
 
-std::vector<eval::MetricRecord> to_records(
+std::vector<gate::MetricRecord> to_records(
     const std::vector<PlanCaseReport>& reports) {
-    std::vector<eval::MetricRecord> out;
+    std::vector<gate::MetricRecord> out;
     double total_runs = 0.0;
     double total_baseline = 0.0;
     double reduction_sum = 0.0;
@@ -138,15 +129,10 @@ std::string render_table(const std::vector<PlanCaseReport>& reports) {
     return os.str();
 }
 
-std::string plan_json(const std::vector<PlanCaseReport>& reports,
-                      const std::string& git_rev) {
+std::vector<gate::Member> bench_members(
+    const std::vector<PlanCaseReport>& reports) {
     std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": " << json::quote("extradeep-plan/1") << ",\n";
-    os << "  \"git_rev\": " << json::quote(git_rev) << ",\n";
-    os << "  \"paper_sampling_reduction_pct\": "
-       << json::number(kPaperSamplingReductionPct) << ",\n";
-    os << "  \"plans\": [\n";
+    os << "[\n";
     for (std::size_t i = 0; i < reports.size(); ++i) {
         const PlanCaseReport& r = reports[i];
         os << "    {\"case\": " << json::quote(r.case_name)
@@ -191,70 +177,10 @@ std::string plan_json(const std::vector<PlanCaseReport>& reports,
         }
         os << "]}" << (i + 1 < reports.size() ? "," : "") << "\n";
     }
-    os << "  ],\n";
-    os << "  \"records\": [\n";
-    const std::vector<eval::MetricRecord> records = to_records(reports);
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const eval::MetricRecord& r = records[i];
-        os << "    {\"case\": " << json::quote(r.case_name)
-           << ", \"noise\": " << json::number(r.noise)
-           << ", \"metric\": " << json::quote(r.metric)
-           << ", \"value\": " << json::number(r.value)
-           << ", \"seed\": " << r.seed << "}"
-           << (i + 1 < records.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-    return os.str();
-}
-
-eval::GateResult check_plan_gate(const std::vector<eval::MetricRecord>& records,
-                                 const std::string& thresholds_json) {
-    gate::RuleDocSpec spec;
-    spec.what = "plan thresholds JSON";
-    const std::vector<gate::Rule> rules =
-        gate::parse_rules(thresholds_json, spec);
-
-    std::vector<gate::Sample> samples;
-    samples.reserve(records.size());
-    for (const eval::MetricRecord& r : records) {
-        samples.push_back({r.case_name, r.noise, r.metric, r.value});
-    }
-    const gate::Outcome outcome = gate::check_rules(samples, rules);
-
-    eval::GateResult result;
-    result.pass = outcome.pass;
-    result.rules_checked = outcome.rules_checked;
-    result.records_matched = outcome.samples_matched;
-    for (const gate::Violation& v : outcome.violations) {
-        if (v.kind == gate::Violation::Kind::Unmatched) {
-            const gate::Rule& rule = rules[v.rule];
-            result.violations.push_back(
-                "threshold for metric '" + rule.metric + "' (case " +
-                rule.scope + ") matched no record - the gate would be "
-                "silently disabled");
-            continue;
-        }
-        const eval::MetricRecord& r = records[v.sample];
-        std::ostringstream where;
-        where << r.case_name << " @ noise " << fmt::fixed(r.noise, 3) << ": "
-              << r.metric << " = " << json::number(r.value);
-        result.violations.push_back(
-            where.str() +
-            (v.kind == gate::Violation::Kind::BelowMin ? " < min " : " > max ") +
-            json::number(v.bound));
-    }
-    return result;
-}
-
-eval::GateResult check_plan_gate_file(
-    const std::vector<eval::MetricRecord>& records, const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
-        throw Error("check_plan_gate_file: cannot open " + path);
-    }
-    std::ostringstream os;
-    os << in.rdbuf();
-    return check_plan_gate(records, os.str());
+    os << "  ]";
+    return {{"paper_sampling_reduction_pct",
+             json::number(kPaperSamplingReductionPct)},
+            {"plans", os.str()}};
 }
 
 }  // namespace extradeep::planner

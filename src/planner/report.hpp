@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "eval/report.hpp"
+#include "common/gate.hpp"
 #include "eval/scorer.hpp"
 #include "planner/planner.hpp"
 
@@ -42,33 +42,24 @@ std::vector<PlanCaseReport> plan_suite(const std::vector<eval::OracleCase>& case
                                        std::uint64_t seed,
                                        const PlanOptions& options);
 
-/// Flattens reports into gate records (the BENCH_plan.json schema shares
-/// eval's record tuple). Per (case, noise): runs_used, baseline_runs,
-/// cost_reduction_pct, rounds, exponent_recovery, smape_in_range,
-/// extrap_error_{2x,4x,8x}. One trailing "suite" pseudo-case carries
-/// mean/min cost reduction, the run totals, and the constant
-/// paper_sampling_reduction_pct reference so the gate pins the comparison
-/// into every benchmark snapshot.
-std::vector<eval::MetricRecord> to_records(
+/// Flattens reports into gate records. Per (case, noise): runs_used,
+/// baseline_runs, cost_reduction_pct, rounds, exponent_recovery,
+/// smape_in_range, extrap_error_{2x,4x,8x}. One trailing "suite"
+/// pseudo-case carries mean/min cost reduction, the run totals, and the
+/// constant paper_sampling_reduction_pct reference so the gate pins the
+/// comparison into every benchmark snapshot.
+std::vector<gate::MetricRecord> to_records(
     const std::vector<PlanCaseReport>& reports);
 
 /// Human-readable results table plus the cost-reduction summary line.
 std::string render_table(const std::vector<PlanCaseReport>& reports);
 
-/// Serialises reports as a schema extradeep-plan/1 document: per-plan arms
-/// (pull counts, means, elimination rounds) and rounds (budget trajectory,
-/// per-round model deltas), plus the flat gate records. Deliberately free
-/// of wall-clock fields - same seed and budget must render byte-identical
+/// The BENCH_plan.json members ahead of the records: the paper reference
+/// and the per-plan arms (pull counts, means, elimination rounds) and
+/// rounds (budget trajectory, per-round model deltas). Deliberately free of
+/// wall-clock fields - same seed and budget must render byte-identical
 /// JSON at any thread count.
-std::string plan_json(const std::vector<PlanCaseReport>& reports,
-                      const std::string& git_rev);
-
-/// Parses a plan thresholds document ({"thresholds": [...]}, eval dialect)
-/// and checks the records against it on the shared common/gate core,
-/// formatting violations in the established gate style.
-eval::GateResult check_plan_gate(const std::vector<eval::MetricRecord>& records,
-                                 const std::string& thresholds_json);
-eval::GateResult check_plan_gate_file(
-    const std::vector<eval::MetricRecord>& records, const std::string& path);
+std::vector<gate::Member> bench_members(
+    const std::vector<PlanCaseReport>& reports);
 
 }  // namespace extradeep::planner

@@ -4,17 +4,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <deque>
 #include <exception>
-#include <iterator>
 #include <sstream>
 #include <thread>
 
 #include "common/error.hpp"
-#include "common/gate.hpp"
 #include "common/json.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
@@ -167,31 +164,6 @@ void run_connection(const LoadGenOptions& options, LoadStats& stats) {
     }
 }
 
-double metric_value(const LoadGenResult& r, const std::string& metric,
-                    bool& known) {
-    known = true;
-    if (metric == "qps") return r.qps;
-    if (metric == "latency_p50_us") return r.latency_p50_us;
-    if (metric == "latency_p95_us") return r.latency_p95_us;
-    if (metric == "latency_p99_us") return r.latency_p99_us;
-    if (metric == "latency_mean_us") return r.latency_mean_us;
-    if (metric == "latency_max_us") return r.latency_max_us;
-    if (metric == "requests") return static_cast<double>(r.requests_sent);
-    if (metric == "responses") {
-        return static_cast<double>(r.responses_received);
-    }
-    if (metric == "errors") return static_cast<double>(r.error_responses);
-    if (metric == "wall_seconds") return r.wall_seconds;
-    known = false;
-    return 0.0;
-}
-
-const char* const kRecordMetrics[] = {
-    "qps",          "latency_p50_us",  "latency_p95_us", "latency_p99_us",
-    "latency_mean_us", "latency_max_us", "requests",       "responses",
-    "errors",       "wall_seconds",
-};
-
 }  // namespace
 
 const char* load_mode_name(LoadMode mode) {
@@ -262,105 +234,38 @@ LoadGenResult run_load(const LoadGenOptions& options) {
     return result;
 }
 
-std::string load_report_json(const LoadGenOptions& options, int threads,
-                             const std::vector<LoadGenRecord>& records) {
+std::vector<gate::MetricRecord> to_records(const LoadGenRecord& record) {
+    const LoadGenResult& r = record.result;
+    const std::pair<const char*, double> metrics[] = {
+        {"qps", r.qps},
+        {"latency_p50_us", r.latency_p50_us},
+        {"latency_p95_us", r.latency_p95_us},
+        {"latency_p99_us", r.latency_p99_us},
+        {"latency_mean_us", r.latency_mean_us},
+        {"latency_max_us", r.latency_max_us},
+        {"requests", static_cast<double>(r.requests_sent)},
+        {"responses", static_cast<double>(r.responses_received)},
+        {"errors", static_cast<double>(r.error_responses)},
+        {"wall_seconds", r.wall_seconds},
+    };
+    std::vector<gate::MetricRecord> out;
+    for (const auto& [metric, value] : metrics) {
+        out.push_back({record.mode, 0.0, metric, value});
+    }
+    return out;
+}
+
+std::string load_config_json(const LoadGenOptions& options, int threads) {
     std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"extradeep-serve-bench/1\",\n";
-    os << "  \"config\": {";
-    os << "\"connections\": " << options.connections;
-    os << ", \"requests_per_connection\": " << options.requests_per_connection;
-    os << ", \"pipeline_depth\": " << options.pipeline_depth;
-    os << ", \"daemon_threads\": " << threads;
-    os << ", \"request_mix\": [";
+    os << "{\"connections\": " << options.connections
+       << ", \"requests_per_connection\": " << options.requests_per_connection
+       << ", \"pipeline_depth\": " << options.pipeline_depth
+       << ", \"daemon_threads\": " << threads << ", \"request_mix\": [";
     for (std::size_t i = 0; i < options.requests.size(); ++i) {
         os << (i == 0 ? "" : ", ") << json::quote(options.requests[i]);
     }
-    os << "]},\n";
-    os << "  \"records\": [\n";
-    bool first = true;
-    for (const LoadGenRecord& record : records) {
-        for (const char* metric : kRecordMetrics) {
-            bool known = false;
-            const double value = metric_value(record.result, metric, known);
-            os << (first ? "" : ",\n");
-            first = false;
-            os << "    {\"mode\": " << json::quote(record.mode)
-               << ", \"metric\": " << json::quote(metric)
-               << ", \"value\": " << json::number(value) << "}";
-        }
-    }
-    os << "\n  ]\n}\n";
+    os << "]}";
     return os.str();
-}
-
-std::vector<std::string> check_load_thresholds(
-    const std::string& thresholds_json,
-    const std::vector<LoadGenRecord>& records) {
-    gate::RuleDocSpec spec;
-    spec.what = "serve thresholds JSON";
-    spec.array_key = "rules";
-    spec.scope_key = "mode";
-    spec.parse_noise = false;   // load rules have no noise dimension
-    spec.require_bound = false; // informational rules may carry no bound
-    spec.allow_empty = true;
-    const std::vector<gate::Rule> rules =
-        gate::parse_rules(thresholds_json, spec);
-
-    // Flatten every (mode, known metric) pair into gate samples once; a rule
-    // naming an unknown metric is reported as its own violation when at
-    // least one record matches its mode (and as an unmatched rule when none
-    // does), matching the historical loadgen gate behaviour.
-    std::vector<gate::Sample> samples;
-    samples.reserve(records.size() * std::size(kRecordMetrics));
-    for (const LoadGenRecord& record : records) {
-        for (const char* metric : kRecordMetrics) {
-            bool known = false;
-            const double value = metric_value(record.result, metric, known);
-            samples.push_back({record.mode, -1.0, metric, value});
-        }
-    }
-
-    std::vector<std::string> violations;
-    for (const gate::Rule& rule : rules) {
-        bool known_metric = false;
-        for (const char* metric : kRecordMetrics) {
-            known_metric = known_metric || rule.metric == metric;
-        }
-        if (!known_metric) {
-            const bool mode_present =
-                rule.scope == "*" ||
-                std::any_of(records.begin(), records.end(),
-                            [&](const LoadGenRecord& r) {
-                                return r.mode == rule.scope;
-                            });
-            if (mode_present && !records.empty()) {
-                violations.push_back("rule references unknown metric '" +
-                                     rule.metric + "'");
-            } else {
-                violations.push_back("rule for " + rule.scope + "/" +
-                                     rule.metric +
-                                     " matched no measurement record");
-            }
-            continue;
-        }
-        const gate::Outcome outcome = gate::check_rules(samples, {rule});
-        for (const gate::Violation& v : outcome.violations) {
-            if (v.kind == gate::Violation::Kind::Unmatched) {
-                violations.push_back("rule for " + rule.scope + "/" +
-                                     rule.metric +
-                                     " matched no measurement record");
-                continue;
-            }
-            const gate::Sample& s = samples[v.sample];
-            violations.push_back(
-                s.scope + "/" + s.metric + " = " + json::number(s.value) +
-                (v.kind == gate::Violation::Kind::BelowMin ? " below min "
-                                                           : " above max ") +
-                json::number(v.bound));
-        }
-    }
-    return violations;
 }
 
 }  // namespace extradeep::serve

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/gate.hpp"
+
 namespace extradeep::serve {
 
 /// Load-generator client for the serve daemon: N concurrent connections,
@@ -67,19 +69,14 @@ struct LoadGenRecord {
     LoadGenResult result;
 };
 
-/// Renders the BENCH_serve.json document (schema extradeep-serve-bench/1):
-/// a config block plus one {mode, metric, value} record per measurement,
-/// mirroring the BENCH_eval.json record layout.
-std::string load_report_json(const LoadGenOptions& options, int threads,
-                             const std::vector<LoadGenRecord>& records);
+/// Flattens one pass into BENCH_serve.json records (schema
+/// extradeep-serve-bench/1), case = the loop mode: qps, latency_p50_us,
+/// latency_p95_us, latency_p99_us, latency_mean_us, latency_max_us,
+/// requests, responses, errors, wall_seconds.
+std::vector<gate::MetricRecord> to_records(const LoadGenRecord& record);
 
-/// Applies a thresholds document (JSON: {"rules": [{"mode": "closed"|"open"
-/// |"*", "metric": "qps", "min": ..., "max": ...}, ...]}) to the records.
-/// Returns human-readable violation lines, empty when the gate passes. A
-/// rule matching no record is itself a violation (same semantics as the
-/// eval gate: a stale rule must fail loudly, not silently pass).
-std::vector<std::string> check_load_thresholds(
-    const std::string& thresholds_json,
-    const std::vector<LoadGenRecord>& records);
+/// The BENCH_serve.json "config" member: connections, requests per
+/// connection, pipeline depth, daemon threads and the request mix.
+std::string load_config_json(const LoadGenOptions& options, int threads);
 
 }  // namespace extradeep::serve

@@ -32,12 +32,11 @@
 
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "obs/session.hpp"
 #include "serve/loadgen.hpp"
@@ -109,31 +108,6 @@ hw::SystemSpec parse_system(const std::string& name) {
                                "' (expected DEEP or JURECA)");
 }
 
-/// Simple flag cursor shared by all modes.
-class Args {
-public:
-    Args(int argc, char** argv, int first) : argc_(argc), argv_(argv),
-                                             i_(first) {}
-    bool next(std::string& arg) {
-        if (i_ >= argc_) {
-            return false;
-        }
-        arg = argv_[i_++];
-        return true;
-    }
-    std::string value(const std::string& flag) {
-        if (i_ >= argc_) {
-            throw InvalidArgumentError(flag + " requires a value");
-        }
-        return argv_[i_++];
-    }
-
-private:
-    int argc_;
-    char** argv_;
-    int i_;
-};
-
 /// Observability session for one CLI mode: --trace SPEC wins over the
 /// EXTRADEEP_TRACE environment; `threads` becomes the self-profile x1
 /// parameter unless the spec named one explicitly.
@@ -150,7 +124,7 @@ std::unique_ptr<obs::ObsSession> make_obs_session(const std::string& spec,
     return session;
 }
 
-int run_fit(Args args) {
+int run_fit(cli::Args args) {
     ExperimentSpec spec;
     std::string out_path;
     std::string name = "model";
@@ -221,7 +195,7 @@ void handle_signal(int) {
     }
 }
 
-int run_serve(Args args) {
+int run_serve(cli::Args args) {
     std::string models_dir;
     serve::ServerOptions options;
     std::string trace_spec;
@@ -280,7 +254,7 @@ int run_serve(Args args) {
     return 0;
 }
 
-int run_query(Args args) {
+int run_query(cli::Args args) {
     std::string host = "127.0.0.1";
     int port = 0;
     std::vector<std::string> requests;
@@ -308,7 +282,7 @@ int run_query(Args args) {
     return 0;
 }
 
-int run_ask(Args args) {
+int run_ask(cli::Args args) {
     std::string models_dir;
     std::vector<std::string> requests;
     std::string trace_spec;
@@ -356,24 +330,14 @@ int run_ask(Args args) {
     return 0;
 }
 
-std::string read_text_file(const std::string& path, const char* what) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw Error(std::string(what) + ": cannot read '" + path + "'");
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
-
-int run_loadgen(Args args) {
+int run_loadgen(cli::Args args) {
     serve::LoadGenOptions lg;
     bool self = false;
     std::string models_dir;
     int daemon_threads = 0;
     std::string mode_arg = "closed";
-    std::string out_path;
-    std::string thresholds_path;
+    cli::Report report{"extradeep-serve-bench/1", "serve load gate",
+                       args.command()};
     std::string arg;
     while (args.next(arg)) {
         if (arg == "--self") {
@@ -396,10 +360,7 @@ int run_loadgen(Args args) {
             daemon_threads = std::stoi(args.value(arg));
         } else if (arg == "--timeout") {
             lg.timeout_ms = std::stoi(args.value(arg));
-        } else if (arg == "--out") {
-            out_path = args.value(arg);
-        } else if (arg == "--thresholds") {
-            thresholds_path = args.value(arg);
+        } else if (report.parse_flag(arg, args)) {
         } else {
             lg.requests.push_back(arg);
         }
@@ -464,7 +425,7 @@ int run_loadgen(Args args) {
         lg.port = daemon->port();
     }
 
-    std::vector<serve::LoadGenRecord> records;
+    std::vector<gate::MetricRecord> records;
     for (const serve::LoadMode mode : modes) {
         lg.mode = mode;
         serve::LoadGenRecord record;
@@ -480,7 +441,9 @@ int run_loadgen(Args args) {
             record.result.qps, record.result.latency_p50_us,
             record.result.latency_p95_us, record.result.latency_p99_us,
             record.result.latency_max_us);
-        records.push_back(std::move(record));
+        const auto mode_records = serve::to_records(record);
+        records.insert(records.end(), mode_records.begin(),
+                       mode_records.end());
     }
 
     if (daemon) {
@@ -488,28 +451,9 @@ int run_loadgen(Args args) {
         daemon->wait();
     }
 
-    if (!out_path.empty()) {
-        const std::string report =
-            serve::load_report_json(lg, daemon_threads, records);
-        std::ofstream out(out_path, std::ios::binary);
-        if (!out || !(out << report)) {
-            throw Error("loadgen: cannot write '" + out_path + "'");
-        }
-        std::printf("wrote %s\n", out_path.c_str());
-    }
-    if (!thresholds_path.empty()) {
-        const std::vector<std::string> violations =
-            serve::check_load_thresholds(
-                read_text_file(thresholds_path, "loadgen"), records);
-        if (!violations.empty()) {
-            for (const auto& v : violations) {
-                std::fprintf(stderr, "threshold violation: %s\n", v.c_str());
-            }
-            return 1;
-        }
-        std::printf("thresholds ok (%s)\n", thresholds_path.c_str());
-    }
-    return 0;
+    return cli::finish(report, records,
+                       {{"config", serve::load_config_json(
+                                       lg, daemon_threads)}});
 }
 
 }  // namespace
@@ -521,7 +465,7 @@ int main(int argc, char** argv) {
     }
     const std::string mode = argv[1];
     try {
-        Args args(argc, argv, 2);
+        cli::Args args(argc, argv, 2);
         if (mode == "fit") {
             return run_fit(args);
         }

@@ -1,17 +1,16 @@
 // Tests for the ground-truth accuracy harness (src/eval): oracle
-// materialisation, end-to-end scoring, report emission and the regression
-// gate. The oracle is the one place in the repository where the "right
-// answer" is known in closed form, so these tests pin down that the entire
-// pipeline - EDP round-trip, validation, aggregation, model generation -
-// reproduces it exactly in the noise-free limit.
+// materialisation, end-to-end scoring and report emission (the regression
+// gate itself is covered by test_gate). The oracle is the one place in the
+// repository where the "right answer" is known in closed form, so these
+// tests pin down that the entire pipeline - EDP round-trip, validation,
+// aggregation, model generation - reproduces it exactly in the noise-free
+// limit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -301,160 +300,30 @@ TEST(EvalReport, CostMetricOmittedWhenNotApplicable) {
     const auto records = to_records(s);
     const bool has_cost = std::any_of(
         records.begin(), records.end(),
-        [](const MetricRecord& r) { return r.metric == "cost_smape"; });
+        [](const gate::MetricRecord& r) { return r.metric == "cost_smape"; });
     EXPECT_FALSE(has_cost);
 }
 
 TEST(EvalReport, BenchJsonCarriesSchemaRevisionAndRecords) {
     const auto records = to_records(sample_score());
-    const std::string json = bench_json(records, "abc1234");
+    const std::string json =
+        gate::bench_json("extradeep-eval/1", records, {}, {"abc1234", {}});
     EXPECT_NE(json.find("\"schema\": \"extradeep-eval/1\""), std::string::npos);
     EXPECT_NE(json.find("\"git_rev\": \"abc1234\""), std::string::npos);
     EXPECT_NE(json.find("\"metric\": \"smape_in_range\""), std::string::npos);
     EXPECT_NE(json.find("\"value\": 1.25"), std::string::npos);
     EXPECT_NE(json.find("\"seed\": 1"), std::string::npos);
     // Non-finite values must be rejected, not silently serialised as 'nan'.
-    std::vector<MetricRecord> bad = records;
+    std::vector<gate::MetricRecord> bad = records;
     bad.front().value = std::nan("");
-    EXPECT_THROW(bench_json(bad, "abc1234"), InvalidArgumentError);
+    EXPECT_THROW(gate::bench_json("extradeep-eval/1", bad, {}, {}),
+                 InvalidArgumentError);
 }
 
 TEST(EvalReport, RenderTableMentionsEveryCase) {
     const std::string table = render_table({sample_score()});
     EXPECT_NE(table.find("linear"), std::string::npos);
     EXPECT_NE(table.find("yes"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Thresholds: parsing
-
-TEST(EvalGate, ParsesWellFormedThresholds) {
-    const std::string doc = R"({
-      "_comment": "ignored",
-      "thresholds": [
-        {"case": "*", "noise": 0.0, "metric": "exponent_recovery", "min": 1.0},
-        {"metric": "smape_in_range", "max": 5.0}
-      ]
-    })";
-    const auto rules = parse_thresholds(doc);
-    ASSERT_EQ(rules.size(), 2u);
-    EXPECT_EQ(rules[0].case_name, "*");
-    EXPECT_DOUBLE_EQ(rules[0].noise, 0.0);
-    ASSERT_TRUE(rules[0].min.has_value());
-    EXPECT_DOUBLE_EQ(*rules[0].min, 1.0);
-    EXPECT_FALSE(rules[0].max.has_value());
-    // Omitted case/noise default to wildcards.
-    EXPECT_EQ(rules[1].case_name, "*");
-    EXPECT_DOUBLE_EQ(rules[1].noise, -1.0);
-    ASSERT_TRUE(rules[1].max.has_value());
-    EXPECT_DOUBLE_EQ(*rules[1].max, 5.0);
-}
-
-TEST(EvalGate, RejectsMalformedThresholdDocuments) {
-    // Not JSON at all.
-    EXPECT_THROW(parse_thresholds("not json"), ParseError);
-    // Trailing garbage after the document.
-    EXPECT_THROW(parse_thresholds("{\"thresholds\": []} extra"), ParseError);
-    // Top level must be an object with a thresholds array.
-    EXPECT_THROW(parse_thresholds("[]"), ParseError);
-    EXPECT_THROW(parse_thresholds("{\"rules\": []}"), ParseError);
-    // Empty rule list would disable the gate.
-    EXPECT_THROW(parse_thresholds("{\"thresholds\": []}"), ParseError);
-    // A rule without a metric is meaningless.
-    EXPECT_THROW(
-        parse_thresholds("{\"thresholds\": [{\"min\": 1.0}]}"), ParseError);
-    // A rule without min or max checks nothing.
-    EXPECT_THROW(
-        parse_thresholds(
-            "{\"thresholds\": [{\"metric\": \"pi_coverage\"}]}"),
-        ParseError);
-    // Type errors.
-    EXPECT_THROW(
-        parse_thresholds(
-            "{\"thresholds\": [{\"metric\": \"m\", \"min\": \"low\"}]}"),
-        ParseError);
-}
-
-// ---------------------------------------------------------------------------
-// Thresholds: gate logic
-
-std::vector<MetricRecord> sample_records() {
-    return {
-        {"linear", 0.0, "exponent_recovery", 1.0, 1},
-        {"linear", 0.05, "smape_in_range", 2.5, 1},
-        {"quadratic", 0.05, "smape_in_range", 4.0, 1},
-        {"linear", 0.05, "pi_coverage", 0.85, 1},
-    };
-}
-
-TEST(EvalGate, PassesWhenAllRulesHold) {
-    std::vector<Threshold> rules(3);
-    rules[0].metric = "exponent_recovery";
-    rules[0].noise = 0.0;
-    rules[0].min = 1.0;
-    rules[1].metric = "smape_in_range";
-    rules[1].noise = 0.05;
-    rules[1].max = 5.0;
-    rules[2].metric = "pi_coverage";
-    rules[2].min = 0.6;  // noise wildcard (-1) matches any level
-    const GateResult res = check_gate(sample_records(), rules);
-    EXPECT_TRUE(res.pass) << (res.violations.empty()
-                                  ? ""
-                                  : res.violations.front());
-    EXPECT_EQ(res.rules_checked, 3u);
-    EXPECT_EQ(res.records_matched, 4u);  // 1 + 2 + 1
-}
-
-TEST(EvalGate, FlagsMinAndMaxViolations) {
-    std::vector<Threshold> rules(2);
-    rules[0].metric = "smape_in_range";
-    rules[0].max = 3.0;  // quadratic's 4.0 breaches this
-    rules[1].metric = "pi_coverage";
-    rules[1].min = 0.9;  // 0.85 breaches this
-    const GateResult res = check_gate(sample_records(), rules);
-    EXPECT_FALSE(res.pass);
-    ASSERT_EQ(res.violations.size(), 2u);
-    EXPECT_NE(res.violations[0].find("quadratic"), std::string::npos);
-    EXPECT_NE(res.violations[1].find("pi_coverage"), std::string::npos);
-}
-
-TEST(EvalGate, CaseAndNoiseSelectorsNarrowTheMatch) {
-    std::vector<Threshold> rules(1);
-    rules[0].metric = "smape_in_range";
-    rules[0].case_name = "linear";
-    rules[0].noise = 0.05;
-    rules[0].max = 3.0;  // quadratic's 4.0 must NOT trip this linear-only rule
-    const GateResult res = check_gate(sample_records(), rules);
-    EXPECT_TRUE(res.pass);
-    EXPECT_EQ(res.records_matched, 1u);
-}
-
-TEST(EvalGate, UnmatchedRuleIsItselfAViolation) {
-    // A renamed metric or removed case must not silently disable its gate.
-    std::vector<Threshold> rules(1);
-    rules[0].metric = "no_such_metric";
-    rules[0].min = 0.0;
-    const GateResult res = check_gate(sample_records(), rules);
-    EXPECT_FALSE(res.pass);
-    ASSERT_EQ(res.violations.size(), 1u);
-    EXPECT_NE(res.violations[0].find("matched no record"), std::string::npos);
-}
-
-TEST(EvalGate, ImpossibleThresholdsFixtureFailsTheGate) {
-    // The fixture backing the WILL_FAIL ctest (eval_accuracy_gate_negative)
-    // must stay unsatisfiable; if someone edits it into a passing document,
-    // the negative test would silently stop proving anything.
-    const auto rules = load_thresholds_file(
-        std::string(EXTRADEEP_TEST_DATA_DIR) +
-        "/eval_thresholds_impossible.json");
-    const GateResult res = check_gate(sample_records(), rules);
-    EXPECT_FALSE(res.pass);
-    EXPECT_GE(res.violations.size(), 2u)
-        << "expected both a breached max and an unmatched metric";
-}
-
-TEST(EvalGate, MissingThresholdsFileErrorsOut) {
-    EXPECT_THROW(load_thresholds_file("/nonexistent/path/t.json"), Error);
 }
 
 }  // namespace

@@ -76,7 +76,13 @@ struct FuzzRig {
     fs::path models;
 
     FuzzRig() {
-        models = fs::path(::testing::TempDir()) / "fleet-fuzz-models";
+        // One directory per test: ctest -j runs the tests of this suite
+        // concurrently, and a shared directory lets one rig wipe another's
+        // exported model.
+        const std::string test_name =
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        models = fs::path(::testing::TempDir()) /
+                 ("fleet-fuzz-models-" + test_name);
         fs::remove_all(models);
         fleet::FleetOptions opts;
         opts.models_dir = models.string();

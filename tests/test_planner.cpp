@@ -1,9 +1,8 @@
-// Adaptive profiling planner (src/planner) and the shared threshold-gate
-// core (common/gate): plan determinism across thread counts, the racing
+// Adaptive profiling planner (src/planner): plan determinism across thread
+// counts, the racing
 // invariants (eliminated arms stay retired, budgets are respected), the
-// oracle measurement backend's equivalence with the fixed-grid harness,
-// the planner's observability instruments, and the gate dialects every
-// regression gate now parses through one implementation.
+// oracle measurement backend's equivalence with the fixed-grid harness, and
+// the planner's observability instruments.
 
 #include <gtest/gtest.h>
 
@@ -135,7 +134,9 @@ TEST(Planner, PlanJsonIsByteIdenticalAcrossThreadCounts) {
         options.num_threads = threads;
         const std::vector<planner::PlanCaseReport> reports = planner::plan_suite(
             {find_case("linear"), find_case("xlogx")}, {0.0, 0.05}, 1, options);
-        renders.push_back(planner::plan_json(reports, "testrev"));
+        renders.push_back(gate::bench_json(
+            "extradeep-plan/1", planner::to_records(reports),
+            planner::bench_members(reports), {"testrev", {}}));
     }
     EXPECT_EQ(renders[0], renders[1]);
     EXPECT_EQ(renders[0], renders[2]);
@@ -245,12 +246,14 @@ TEST(ScopedLatencyTimer, ObservesElapsedAndToleratesNullHistogram) {
     EXPECT_EQ(clock.now_ns(), 1000u + 250000u + 1u);
 }
 
-// --- report + gate ----------------------------------------------------------
+// --- report ----------------------------------------------------------------
 
 TEST(PlanReport, JsonParsesAndCarriesSchema) {
     const std::vector<planner::PlanCaseReport> reports =
         planner::plan_suite({find_case("linear")}, {0.0}, 1, noisy_options());
-    const std::string rendered = planner::plan_json(reports, "abc123");
+    const std::string rendered = gate::bench_json(
+        "extradeep-plan/1", planner::to_records(reports),
+        planner::bench_members(reports), {"abc123", {}});
     const json::Value doc = json::parse(rendered, "plan JSON");
     const json::Value* schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
@@ -263,7 +266,7 @@ TEST(PlanReport, JsonParsesAndCarriesSchema) {
 TEST(PlanReport, RecordsIncludeSuiteSummaryAndPaperReference) {
     const std::vector<planner::PlanCaseReport> reports =
         planner::plan_suite({find_case("linear")}, {0.0}, 1, noisy_options());
-    const std::vector<eval::MetricRecord> records =
+    const std::vector<gate::MetricRecord> records =
         planner::to_records(reports);
     bool found_paper = false;
     for (const auto& r : records) {
@@ -274,121 +277,6 @@ TEST(PlanReport, RecordsIncludeSuiteSummaryAndPaperReference) {
         }
     }
     EXPECT_TRUE(found_paper);
-}
-
-TEST(PlanGate, EnforcesThresholdsOnRecords) {
-    const std::vector<planner::PlanCaseReport> reports =
-        planner::plan_suite({find_case("linear")}, {0.0}, 1, noisy_options());
-    const std::vector<eval::MetricRecord> records =
-        planner::to_records(reports);
-    const eval::GateResult pass = planner::check_plan_gate(
-        records,
-        R"({"thresholds": [{"case": "*", "noise": 0.0,
-                            "metric": "cost_reduction_pct", "min": 30.0}]})");
-    EXPECT_TRUE(pass.pass);
-    const eval::GateResult fail = planner::check_plan_gate(
-        records,
-        R"({"thresholds": [{"case": "*", "noise": 0.0,
-                            "metric": "runs_used", "max": 0.0}]})");
-    EXPECT_FALSE(fail.pass);
-    ASSERT_FALSE(fail.violations.empty());
-    EXPECT_NE(fail.violations[0].find("runs_used"), std::string::npos);
-    // Unmatched rules are violations, not silent no-ops.
-    const eval::GateResult unmatched = planner::check_plan_gate(
-        records,
-        R"({"thresholds": [{"case": "*", "noise": 0.0,
-                            "metric": "no_such_metric", "min": 1.0}]})");
-    EXPECT_FALSE(unmatched.pass);
-}
-
-// --- common/gate core -------------------------------------------------------
-
-TEST(GateCore, ChecksBoundsRuleMajorWithStableOrdering) {
-    const std::vector<gate::Sample> samples = {
-        {"a", 0.0, "m", 1.0},
-        {"b", 0.0, "m", 9.0},
-    };
-    std::vector<gate::Rule> rules(1);
-    rules[0].scope = "*";
-    rules[0].noise = 0.0;
-    rules[0].metric = "m";
-    rules[0].min = 2.0;
-    rules[0].max = 5.0;
-    const gate::Outcome outcome = gate::check_rules(samples, rules);
-    EXPECT_FALSE(outcome.pass);
-    EXPECT_EQ(outcome.rules_checked, 1u);
-    EXPECT_EQ(outcome.samples_matched, 2u);
-    ASSERT_EQ(outcome.violations.size(), 2u);
-    EXPECT_EQ(outcome.violations[0].kind, gate::Violation::Kind::BelowMin);
-    EXPECT_EQ(outcome.violations[0].sample, 0u);
-    EXPECT_DOUBLE_EQ(outcome.violations[0].bound, 2.0);
-    EXPECT_EQ(outcome.violations[1].kind, gate::Violation::Kind::AboveMax);
-    EXPECT_EQ(outcome.violations[1].sample, 1u);
-}
-
-TEST(GateCore, WildcardsAndUnmatchedRules) {
-    const std::vector<gate::Sample> samples = {
-        {"x", 0.05, "m", 3.0},
-    };
-    gate::Rule wildcard_noise;
-    wildcard_noise.metric = "m";
-    wildcard_noise.min = 1.0;  // noise stays -1 = any
-    gate::Rule wrong_scope;
-    wrong_scope.scope = "y";
-    wrong_scope.metric = "m";
-    wrong_scope.min = 1.0;
-    const gate::Outcome outcome =
-        gate::check_rules(samples, {wildcard_noise, wrong_scope});
-    EXPECT_FALSE(outcome.pass);
-    ASSERT_EQ(outcome.violations.size(), 1u);
-    EXPECT_EQ(outcome.violations[0].kind, gate::Violation::Kind::Unmatched);
-    EXPECT_EQ(outcome.violations[0].rule, 1u);
-}
-
-TEST(GateCore, ParsesEvalDialect) {
-    const std::vector<gate::Rule> rules = gate::parse_rules(
-        R"({"thresholds": [
-              {"case": "linear", "noise": 0.05, "metric": "smape", "max": 5.0},
-              {"metric": "recovery", "min": 1.0}
-           ]})",
-        gate::RuleDocSpec{});
-    ASSERT_EQ(rules.size(), 2u);
-    EXPECT_EQ(rules[0].scope, "linear");
-    EXPECT_DOUBLE_EQ(rules[0].noise, 0.05);
-    ASSERT_TRUE(rules[0].max.has_value());
-    EXPECT_DOUBLE_EQ(*rules[0].max, 5.0);
-    EXPECT_FALSE(rules[0].min.has_value());
-    EXPECT_EQ(rules[1].scope, "*");
-    EXPECT_LT(rules[1].noise, 0.0);
-
-    EXPECT_THROW(gate::parse_rules("[]", gate::RuleDocSpec{}), ParseError);
-    EXPECT_THROW(gate::parse_rules(R"({"thresholds": []})",
-                                   gate::RuleDocSpec{}),
-                 ParseError);
-    EXPECT_THROW(gate::parse_rules(
-                     R"({"thresholds": [{"metric": "m"}]})",
-                     gate::RuleDocSpec{}),
-                 ParseError);
-}
-
-TEST(GateCore, ParsesServeDialect) {
-    gate::RuleDocSpec spec;
-    spec.what = "serve thresholds JSON";
-    spec.array_key = "rules";
-    spec.scope_key = "mode";
-    spec.parse_noise = false;
-    spec.require_bound = false;
-    spec.allow_empty = true;
-    const std::vector<gate::Rule> rules = gate::parse_rules(
-        R"({"rules": [{"mode": "closed", "metric": "qps", "min": 100.0},
-                      {"metric": "p99_us"}]})",
-        spec);
-    ASSERT_EQ(rules.size(), 2u);
-    EXPECT_EQ(rules[0].scope, "closed");
-    // Boundless rules are legal in this dialect.
-    EXPECT_FALSE(rules[1].min.has_value());
-    EXPECT_FALSE(rules[1].max.has_value());
-    EXPECT_TRUE(gate::parse_rules(R"({"rules": []})", spec).empty());
 }
 
 }  // namespace

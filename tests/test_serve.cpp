@@ -837,59 +837,25 @@ TEST(LoadGen, RejectsBadOptions) {
     EXPECT_THROW(serve::run_load(lg), InvalidArgumentError);
 }
 
-std::vector<serve::LoadGenRecord> fake_records() {
-    serve::LoadGenRecord closed;
-    closed.mode = "closed";
-    closed.result.qps = 1000.0;
-    closed.result.latency_p99_us = 5000.0;
-    closed.result.error_responses = 0;
-    closed.result.responses_received = 400;
-    serve::LoadGenRecord open = closed;
-    open.mode = "open";
-    open.result.qps = 2000.0;
-    return {closed, open};
-}
-
-TEST(LoadGen, ThresholdsPassAndFailCorrectly) {
-    const auto records = fake_records();
-    EXPECT_TRUE(serve::check_load_thresholds(
-                    R"({"rules": [
-                        {"mode": "*", "metric": "errors", "max": 0},
-                        {"mode": "closed", "metric": "qps", "min": 500},
-                        {"mode": "open", "metric": "latency_p99_us",
-                         "max": 10000}]})",
-                    records)
-                    .empty());
-    // min violated on the closed record only.
-    const auto min_violation = serve::check_load_thresholds(
-        R"({"rules": [{"mode": "closed", "metric": "qps", "min": 1500}]})",
-        records);
-    ASSERT_EQ(min_violation.size(), 1u);
-    EXPECT_NE(min_violation[0].find("below min"), std::string::npos);
-    // A wildcard rule checks every record: one of the two trips it.
-    EXPECT_EQ(serve::check_load_thresholds(
-                  R"({"rules": [{"mode": "*", "metric": "qps",
-                                 "max": 1500}]})",
-                  records)
-                  .size(),
-              1u);
-}
-
-TEST(LoadGen, StaleThresholdRuleIsAViolation) {
-    const auto records = fake_records();
-    const auto violations = serve::check_load_thresholds(
-        R"({"rules": [{"mode": "burst", "metric": "qps", "min": 1}]})",
-        records);
-    ASSERT_EQ(violations.size(), 1u);
-    EXPECT_NE(violations[0].find("matched no measurement record"),
-              std::string::npos);
-    const auto unknown = serve::check_load_thresholds(
-        R"({"rules": [{"mode": "*", "metric": "nosuch", "min": 1}]})",
-        records);
-    ASSERT_EQ(unknown.size(), 1u);
-    EXPECT_NE(unknown[0].find("unknown metric"), std::string::npos);
-    EXPECT_THROW(serve::check_load_thresholds(R"({"no_rules": []})", records),
-                 ParseError);
+TEST(LoadGen, RecordsCarryModeAsCase) {
+    serve::LoadGenRecord record;
+    record.mode = "open";
+    record.result.qps = 2000.0;
+    record.result.requests_sent = 400;
+    record.result.error_responses = 3;
+    const std::vector<gate::MetricRecord> records = serve::to_records(record);
+    const std::vector<std::string> metrics = {
+        "qps",          "latency_p50_us",  "latency_p95_us", "latency_p99_us",
+        "latency_mean_us", "latency_max_us", "requests",     "responses",
+        "errors",       "wall_seconds"};
+    ASSERT_EQ(records.size(), metrics.size());
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+        EXPECT_EQ(records[i].case_name, "open");
+        EXPECT_EQ(records[i].metric, metrics[i]);
+    }
+    EXPECT_DOUBLE_EQ(records[0].value, 2000.0);
+    EXPECT_DOUBLE_EQ(records[6].value, 400.0);
+    EXPECT_DOUBLE_EQ(records[8].value, 3.0);
 }
 
 }  // namespace

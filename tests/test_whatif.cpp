@@ -477,8 +477,8 @@ TEST(VerifyHarness, QuickSuiteEmitsWellFormedRecords) {
     EXPECT_NE(outcome.table.find("ranking_agreement"), std::string::npos);
 
     // The JSON document parses and carries the schema marker.
-    const std::string doc =
-        advisor::whatif_bench_json(outcome.records, "test");
+    const std::string doc = gate::bench_json("extradeep-whatif/1",
+                                             outcome.records, {}, {"test", {}});
     const json::Value parsed = json::parse(doc, "BENCH_whatif.json");
     const json::Value* schema = parsed.find("schema");
     ASSERT_NE(schema, nullptr);
