@@ -1,6 +1,8 @@
 #include "common/linalg.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -8,6 +10,12 @@ namespace extradeep::linalg {
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+
+void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, fill);
+}
 
 double& Matrix::operator()(std::size_t r, std::size_t c) {
     return data_[r * cols_ + c];
@@ -54,14 +62,14 @@ void axpy(double* y, double a, const double* x, std::size_t n) {
     }
 }
 
-/// A^T A for the m x n matrix `a`, accumulated as row outer products in row
-/// order. Rows whose i-th entry is exactly 0.0 contribute nothing to
-/// out(i, *), so each element sees the same addition sequence as the classic
-/// out(i, j) = sum_r a(r, i) * a(r, j) column loop with that zero-skip, while
-/// the inner traversal stays a contiguous axpy over the row.
-Matrix normal_equations(const Matrix& a) {
+/// A^T A for the m x n matrix `a` into `out`, accumulated as row outer
+/// products in row order. Rows whose i-th entry is exactly 0.0 contribute
+/// nothing to out(i, *), so each element sees the same addition sequence as
+/// the classic out(i, j) = sum_r a(r, i) * a(r, j) column loop with that
+/// zero-skip, while the inner traversal stays a contiguous axpy over the row.
+void normal_equations(const Matrix& a, Matrix& out) {
     const std::size_t cols = a.cols();
-    Matrix out(cols, cols);
+    out.assign(cols, cols);
     for (std::size_t r = 0; r < a.rows(); ++r) {
         const double* row = a.row(r);
         for (std::size_t i = 0; i < cols; ++i) {
@@ -72,15 +80,14 @@ Matrix normal_equations(const Matrix& a) {
             axpy(out.row(i), v, row, cols);
         }
     }
-    return out;
 }
 
-// Cholesky factor L with S = L L^T, in-place into a copy. Returns false if
-// not SPD (within a relative tolerance on the diagonal).
+// Cholesky factor L with S = L L^T, into `l`. Returns false if not SPD
+// (within a relative tolerance on the diagonal).
 bool cholesky(const Matrix& s, Matrix& l) {
     const std::size_t n = s.rows();
     if (s.cols() != n) return false;
-    l = Matrix(n, n);
+    l.assign(n, n);
     double max_diag = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         max_diag = std::max(max_diag, std::abs(s(i, i)));
@@ -103,25 +110,42 @@ bool cholesky(const Matrix& s, Matrix& l) {
     return true;
 }
 
-std::vector<double> cholesky_solve(const Matrix& l, const std::vector<double>& b) {
+/// Solves L L^T x = b in place (x holds b on entry). Forward substitution
+/// overwrites b[i] with y[i] only after reading it, and back substitution
+/// does the same with y, so the arithmetic is that of separate y and x
+/// vectors.
+void cholesky_solve(const Matrix& l, std::vector<double>& x) {
     const std::size_t n = l.rows();
-    std::vector<double> y(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-        double acc = b[i];
+        double acc = x[i];
         for (std::size_t k = 0; k < i; ++k) {
-            acc -= l(i, k) * y[k];
+            acc -= l(i, k) * x[k];
         }
-        y[i] = acc / l(i, i);
+        x[i] = acc / l(i, i);
     }
-    std::vector<double> x(n, 0.0);
     for (std::size_t ii = n; ii-- > 0;) {
-        double acc = y[ii];
+        double acc = x[ii];
         for (std::size_t k = ii + 1; k < n; ++k) {
             acc -= l(k, ii) * x[k];
         }
         x[ii] = acc / l(ii, ii);
     }
-    return x;
+}
+
+/// (L L^T)^{-1}, column by column.
+Matrix cholesky_inverse(const Matrix& l) {
+    const std::size_t n = l.rows();
+    Matrix inv(n, n);
+    std::vector<double> col(n, 0.0);
+    for (std::size_t c = 0; c < n; ++c) {
+        col.assign(n, 0.0);
+        col[c] = 1.0;
+        cholesky_solve(l, col);
+        for (std::size_t r = 0; r < n; ++r) {
+            inv(r, c) = col[r];
+        }
+    }
+    return inv;
 }
 
 }  // namespace
@@ -134,32 +158,24 @@ std::vector<double> solve_spd(const Matrix& s, const std::vector<double>& b) {
     if (!cholesky(s, l)) {
         throw NumericalError("solve_spd: matrix is not positive definite");
     }
-    return cholesky_solve(l, b);
+    std::vector<double> x = b;
+    cholesky_solve(l, x);
+    return x;
 }
 
 Matrix invert_spd(const Matrix& s) {
-    const std::size_t n = s.rows();
-    if (s.cols() != n) {
+    if (s.cols() != s.rows()) {
         throw InvalidArgumentError("invert_spd: matrix not square");
     }
     Matrix l;
     if (!cholesky(s, l)) {
         throw NumericalError("invert_spd: matrix is not positive definite");
     }
-    Matrix inv(n, n);
-    std::vector<double> e(n, 0.0);
-    for (std::size_t c = 0; c < n; ++c) {
-        e.assign(n, 0.0);
-        e[c] = 1.0;
-        const std::vector<double> col = cholesky_solve(l, e);
-        for (std::size_t r = 0; r < n; ++r) {
-            inv(r, c) = col[r];
-        }
-    }
-    return inv;
+    return cholesky_inverse(l);
 }
 
-LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) {
+void least_squares_into(const Matrix& a, const std::vector<double>& b,
+                        LeastSquaresWork& work) {
     const std::size_t m = a.rows();
     const std::size_t n = a.cols();
     if (m < n) {
@@ -170,9 +186,13 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
     }
 
     // Householder QR, overwriting a working copy of A; b is transformed along.
-    Matrix r = a;
-    std::vector<double> rhs = b;
-    std::vector<double> dots;
+    // Copy-assignment reuses the workspace's storage once it is large enough.
+    work.r = a;
+    work.rhs = b;
+    Matrix& r = work.r;
+    std::vector<double>& rhs = work.rhs;
+    std::vector<double>& v = work.v;
+    std::vector<double>& dots = work.dots;
     double col_norm_max = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
         // Column norm below the pivot.
@@ -186,8 +206,8 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
             continue;  // handled as rank deficiency in back substitution
         }
         const double alpha = r(k, k) >= 0.0 ? -norm : norm;
-        // Householder vector v = x - alpha*e1, stored temporarily.
-        std::vector<double> v(m - k, 0.0);
+        // Householder vector v = x - alpha*e1; every entry is written.
+        v.resize(m - k);
         v[0] = r(k, k) - alpha;
         for (std::size_t i = k + 1; i < m; ++i) {
             v[i - k] = r(i, k);
@@ -224,21 +244,22 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
         }
     }
 
-    LeastSquaresResult out;
-    out.coefficients.assign(n, 0.0);
+    std::vector<double>& coef = work.coefficients;
+    coef.assign(n, 0.0);
+    work.rank_deficient = false;
     const double rank_tol = 1e-11 * (col_norm_max > 0 ? col_norm_max : 1.0);
     // Back substitution on the upper-triangular R.
     for (std::size_t ii = n; ii-- > 0;) {
         if (std::abs(r(ii, ii)) <= rank_tol) {
-            out.coefficients[ii] = 0.0;
-            out.rank_deficient = true;
+            coef[ii] = 0.0;
+            work.rank_deficient = true;
             continue;
         }
         double acc = rhs[ii];
         for (std::size_t c = ii + 1; c < n; ++c) {
-            acc -= r(ii, c) * out.coefficients[c];
+            acc -= r(ii, c) * coef[c];
         }
-        out.coefficients[ii] = acc / r(ii, ii);
+        coef[ii] = acc / r(ii, ii);
     }
     double res2 = 0.0;
     for (std::size_t i = n; i < m; ++i) {
@@ -246,27 +267,38 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
     }
     // Rank-deficient rows above n also contribute residual; recompute directly
     // for robustness when flagged.
-    if (out.rank_deficient) {
+    if (work.rank_deficient) {
         res2 = 0.0;
         for (std::size_t i = 0; i < m; ++i) {
             double pred = 0.0;
             for (std::size_t c = 0; c < n; ++c) {
-                pred += a(i, c) * out.coefficients[c];
+                pred += a(i, c) * coef[c];
             }
             const double d = pred - b[i];
             res2 += d * d;
         }
     }
-    out.residual_norm = std::sqrt(res2);
+    work.residual_norm = std::sqrt(res2);
 
-    // Unscaled covariance (A^T A)^{-1}; skip when rank deficient (the
-    // hypothesis will be rejected by the model selector anyway).
+    // SPD check on the normal equations: its 1e-13 Cholesky tolerance is far
+    // stricter than the QR rank test above, and a hypothesis that fails it
+    // is rejected like a rank-deficient one. Skipped when already flagged
+    // (the hypothesis will be rejected by the model selector anyway).
+    if (!work.rank_deficient) {
+        normal_equations(a, work.normal);
+        work.rank_deficient = !cholesky(work.normal, work.chol);
+    }
+}
+
+LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) {
+    LeastSquaresWork work;
+    least_squares_into(a, b, work);
+    LeastSquaresResult out;
+    out.coefficients = std::move(work.coefficients);
+    out.residual_norm = work.residual_norm;
+    out.rank_deficient = work.rank_deficient;
     if (!out.rank_deficient) {
-        try {
-            out.covariance_unscaled = invert_spd(normal_equations(a));
-        } catch (const NumericalError&) {
-            out.rank_deficient = true;
-        }
+        out.covariance_unscaled = cholesky_inverse(work.chol);
     }
     return out;
 }

@@ -19,6 +19,11 @@ public:
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
+    /// Reshapes to rows x cols with every cell set to `fill`, reusing the
+    /// existing storage when it is large enough, so a scratch matrix cycled
+    /// through the same few shapes stops allocating after the first use.
+    void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
+
     /// Row pointers into the row-major storage, for contiguous row loops.
     double* row(std::size_t r) { return data_.data() + r * cols_; }
     const double* row(std::size_t r) const { return data_.data() + r * cols_; }
@@ -42,11 +47,37 @@ struct LeastSquaresResult {
     bool rank_deficient = false;  ///< true if A was (numerically) rank deficient
 };
 
+/// Caller-owned, reusable buffers of least_squares_into. Every buffer is
+/// resized and overwritten before it is read, so one workspace can serve any
+/// sequence of shapes; after the largest shape has been seen once, a solve
+/// allocates nothing.
+struct LeastSquaresWork {
+    Matrix r;                  ///< working copy of A, reduced to R by QR
+    std::vector<double> rhs;   ///< working copy of b, transformed to Q^T b
+    std::vector<double> v;     ///< Householder vector of the current column
+    std::vector<double> dots;  ///< v^T R(:, c) over the trailing columns
+    Matrix normal;             ///< A^T A, assembled for the SPD check
+    /// Cholesky factor L of A^T A = L L^T; valid only when !rank_deficient.
+    Matrix chol;
+    std::vector<double> coefficients;  ///< beta minimising ||A beta - b||_2
+    double residual_norm = 0.0;        ///< ||A beta - b||_2 at the solution
+    bool rank_deficient = false;  ///< see least_squares
+};
+
 /// Solves the overdetermined system A x ~= b in the least-squares sense via
-/// Householder QR with column norm checks. A must have rows >= cols. If A is
-/// numerically rank deficient the affected coefficients are set to zero and
-/// `rank_deficient` is flagged rather than throwing, because the PMNF search
-/// legitimately generates collinear hypotheses that should simply score badly.
+/// Householder QR with column norm checks, into `work`. A must have
+/// rows >= cols. If A is numerically rank deficient the affected
+/// coefficients are set to zero and `rank_deficient` is flagged rather than
+/// throwing, because the PMNF search legitimately generates collinear
+/// hypotheses that should simply score badly. A system that passes the QR
+/// rank test is additionally flagged when A^T A fails the Cholesky SPD check
+/// (a far stricter tolerance), leaving `work.chol` as that factor otherwise.
+void least_squares_into(const Matrix& a, const std::vector<double>& b,
+                        LeastSquaresWork& work);
+
+/// least_squares_into on a fresh workspace, plus the unscaled covariance
+/// (A^T A)^{-1} from the Cholesky factor the SPD check computed (left empty
+/// when rank deficient).
 LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b);
 
 /// Solves the square symmetric positive definite system S x = b via Cholesky.

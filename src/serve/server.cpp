@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -348,6 +349,17 @@ void ServeDaemon::loop() {
                     continue;
                 }
                 break;  // EAGAIN, or transient (ECONNABORTED, EMFILE, ...)
+            }
+            // Responses are written as soon as they are ready; without
+            // TCP_NODELAY, Nagle holds the second of two pipelined answers
+            // until the client's delayed ACK (~40 ms). A socket that refuses
+            // the option is closed and counted rather than served slowly.
+            const int one = 1;
+            if (::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one,
+                             sizeof(one)) != 0) {
+                ::close(conn);
+                rejected_connections_.fetch_add(1);
+                continue;
             }
             const std::uint64_t id = next_id++;
             if (!add_fd(conn, id, EPOLLIN)) {

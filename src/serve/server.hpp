@@ -97,6 +97,12 @@ public:
 
     bool running() const { return running_.load(); }
 
+    /// Accepted connections closed at once because the socket refused
+    /// TCP_NODELAY (see the accept loop).
+    std::uint64_t rejected_connections() const {
+        return rejected_connections_.load();
+    }
+
 private:
     struct Completion {
         std::uint64_t conn_id = 0;
@@ -113,6 +119,7 @@ private:
     int port_ = 0;
     std::atomic<bool> stop_{false};
     std::atomic<bool> running_{false};
+    std::atomic<std::uint64_t> rejected_connections_{0};
     std::thread loop_thread_;
     std::mutex completions_mutex_;
     std::vector<Completion> completions_;

@@ -656,6 +656,37 @@ TEST(ServeDaemon, ShutdownDrainsPipelinedRequestsOnLiveConnections) {
     EXPECT_FALSE(daemon.running());
 }
 
+TEST(ServeDaemon, PipelinedPairIsNotHeldByDelayedAck) {
+    // Two pings written in one send: the daemon answers the first, then the
+    // second while the first is still unacknowledged. Without TCP_NODELAY,
+    // Nagle holds that second answer until the client's delayed ACK
+    // (~40 ms on Linux), so the median pair round trip would sit near it.
+    auto engine = engine_over(test_model());
+    serve::ServeDaemon daemon(engine, serve::ServerOptions{});
+    daemon.start();
+    serve::FdGuard fd(serve::connect_to("127.0.0.1", daemon.port(), 5000));
+    serve::LineReader reader(fd.get(), serve::kMaxRequestLine);
+    const obs::Clock& clock = obs::steady_clock_instance();
+    std::vector<double> pair_ms;
+    for (int i = 0; i < 10; ++i) {
+        const std::uint64_t start_ns = clock.now_ns();
+        serve::send_all(fd.get(), "ping\nping\n");
+        std::string line;
+        for (int answer = 0; answer < 2; ++answer) {
+            ASSERT_TRUE(reader.next_line(line)) << "pair " << i;
+            EXPECT_EQ(line, "ok pong");
+        }
+        pair_ms.push_back(static_cast<double>(clock.now_ns() - start_ns) /
+                          1e6);
+    }
+    std::sort(pair_ms.begin(), pair_ms.end());
+    const double median_ms = (pair_ms[4] + pair_ms[5]) / 2.0;
+    EXPECT_LT(median_ms, 20.0);
+    EXPECT_EQ(daemon.rejected_connections(), 0u);
+    daemon.stop();
+    daemon.wait();
+}
+
 std::atomic<int> g_sigusr1_count{0};
 
 void count_sigusr1(int) { g_sigusr1_count.fetch_add(1); }
