@@ -8,7 +8,8 @@
 //               streaming pass (getrusage ru_maxrss delta), which must stay
 //               bounded by the largest rank block, not the corpus size.
 //   fitter    - hypothesis-search throughput (hypotheses/sec) over the
-//               two-term PMNF space, at 1 and --threads threads.
+//               two-term PMNF space, at 1 and --threads threads, and for
+//               16 series through one batched search at 1 thread.
 //   gate      - optional perf_thresholds.json enforcement (exit 1 on
 //               violation), with deliberately loose machine-independent
 //               bounds: the gate catches order-of-magnitude cliffs (a
@@ -164,13 +165,20 @@ struct FitterTiming {
     int hypotheses_per_fit = 0;
 };
 
-/// Times ModelGenerator::fit over the two-term search space until
-/// `budget_seconds` elapses (at least one fit).
-FitterTiming time_fitter(int threads, double budget_seconds) {
+/// Times the two-term hypothesis search until `budget_seconds` elapses (at
+/// least one call): `series` value sets on the same points go through one
+/// ModelGenerator::fit_batch call, so series = 1 is a plain fit and larger
+/// batches show the factor-once, solve-many sharing. Hypotheses count once
+/// per value set.
+FitterTiming time_fitter(int threads, int series, double budget_seconds) {
     std::vector<double> xs = {2, 4, 6, 8, 10, 12, 16, 24, 32, 48};
-    std::vector<double> ys;
-    for (const double x : xs) {
-        ys.push_back(10.0 + 3.0 * x + 0.5 * x * std::log2(x));
+    std::vector<std::vector<double>> value_sets(
+        static_cast<std::size_t>(series));
+    for (int s = 0; s < series; ++s) {
+        for (const double x : xs) {
+            value_sets[static_cast<std::size_t>(s)].push_back(
+                10.0 + 3.0 * x + (0.5 + 0.1 * s) * x * std::log2(x));
+        }
     }
     modeling::FitOptions opts;
     opts.space.max_terms = 2;
@@ -178,17 +186,18 @@ FitterTiming time_fitter(int threads, double budget_seconds) {
     const modeling::ModelGenerator gen(opts);
 
     FitterTiming timing;
-    timing.hypotheses_per_fit = gen.fit(xs, ys).quality().hypotheses_searched;
+    timing.hypotheses_per_fit =
+        gen.fit_batch(xs, value_sets).front().quality().hypotheses_searched;
     const double t0 = now_seconds();
-    int fits = 0;
+    int calls = 0;
     double elapsed = 0.0;
     do {
-        gen.fit(xs, ys);
-        ++fits;
+        gen.fit_batch(xs, value_sets);
+        ++calls;
         elapsed = now_seconds() - t0;
     } while (elapsed < budget_seconds);
-    timing.hypotheses_per_sec =
-        static_cast<double>(fits) * timing.hypotheses_per_fit / elapsed;
+    timing.hypotheses_per_sec = static_cast<double>(calls) * series *
+                                timing.hypotheses_per_fit / elapsed;
     return timing;
 }
 
@@ -273,7 +282,7 @@ int main(int argc, char** argv) {
             fit_threads.push_back(threads);
         }
         for (const int t : fit_threads) {
-            const FitterTiming ft = time_fitter(t, fit_budget);
+            const FitterTiming ft = time_fitter(t, 1, fit_budget);
             const std::string name = "fitter_t" + std::to_string(t);
             add_record(records, name, "hypotheses_per_sec",
                        ft.hypotheses_per_sec);
@@ -282,6 +291,9 @@ int main(int argc, char** argv) {
                            static_cast<double>(ft.hypotheses_per_fit));
             }
         }
+        // --- 16 series through one batched search, one thread.
+        add_record(records, "fitter_batch_t1", "hypotheses_per_sec",
+                   time_fitter(1, 16, fit_budget).hypotheses_per_sec);
 
         Table table({"case", "metric", "value"});
         for (const auto& r : records) {

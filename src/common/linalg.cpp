@@ -174,25 +174,20 @@ Matrix invert_spd(const Matrix& s) {
     return cholesky_inverse(l);
 }
 
-void least_squares_into(const Matrix& a, const std::vector<double>& b,
-                        LeastSquaresWork& work) {
+void qr_factor(const Matrix& a, QrFactor& f) {
     const std::size_t m = a.rows();
     const std::size_t n = a.cols();
     if (m < n) {
         throw InvalidArgumentError("least_squares: fewer rows than columns");
     }
-    if (b.size() != m) {
-        throw InvalidArgumentError("least_squares: rhs size mismatch");
-    }
 
-    // Householder QR, overwriting a working copy of A; b is transformed along.
-    // Copy-assignment reuses the workspace's storage once it is large enough.
-    work.r = a;
-    work.rhs = b;
-    Matrix& r = work.r;
-    std::vector<double>& rhs = work.rhs;
-    std::vector<double>& v = work.v;
-    std::vector<double>& dots = work.dots;
+    // Householder QR, overwriting a working copy of A. Copy-assignment
+    // reuses the factor's storage once it is large enough.
+    f.r = a;
+    f.v.assign(n, m);
+    f.vnorm2.assign(n, 0.0);
+    Matrix& r = f.r;
+    std::vector<double>& dots = f.dots;
     double col_norm_max = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
         // Column norm below the pivot.
@@ -206,18 +201,19 @@ void least_squares_into(const Matrix& a, const std::vector<double>& b,
             continue;  // handled as rank deficiency in back substitution
         }
         const double alpha = r(k, k) >= 0.0 ? -norm : norm;
-        // Householder vector v = x - alpha*e1; every entry is written.
-        v.resize(m - k);
+        // Householder vector v = x - alpha*e1.
+        double* v = f.v.row(k);
         v[0] = r(k, k) - alpha;
         for (std::size_t i = k + 1; i < m; ++i) {
             v[i - k] = r(i, k);
         }
         double vnorm2 = 0.0;
-        for (double x : v) vnorm2 += x * x;
+        for (std::size_t i = 0; i < m - k; ++i) vnorm2 += v[i] * v[i];
         if (vnorm2 == 0.0) {
             continue;
         }
-        // Apply H = I - 2 v v^T / (v^T v) to the trailing block and to rhs.
+        f.vnorm2[k] = vnorm2;
+        // Apply H = I - 2 v v^T / (v^T v) to the trailing block.
         // Loop-interchanged so the inner traversal runs along contiguous row
         // segments (axpy): dots[c - k] accumulates v^T R(:, c) in the
         // same ascending-i order as a per-column loop, so the result is
@@ -232,27 +228,62 @@ void least_squares_into(const Matrix& a, const std::vector<double>& b,
         for (std::size_t i = k; i < m; ++i) {
             axpy(r.row(i) + k, -v[i - k], dots.data(), n - k);
         }
-        {
-            double dot = 0.0;
-            for (std::size_t i = k; i < m; ++i) {
-                dot += v[i - k] * rhs[i];
-            }
-            const double f = 2.0 * dot / vnorm2;
-            for (std::size_t i = k; i < m; ++i) {
-                rhs[i] -= f * v[i - k];
-            }
+    }
+
+    f.rank_tol = 1e-11 * (col_norm_max > 0 ? col_norm_max : 1.0);
+    f.pivot_dropped = false;
+    for (std::size_t k = 0; k < n; ++k) {
+        if (std::abs(r(k, k)) <= f.rank_tol) {
+            f.pivot_dropped = true;
+        }
+    }
+    f.rank_deficient = f.pivot_dropped;
+
+    // SPD check on the normal equations: its 1e-13 Cholesky tolerance is far
+    // stricter than the QR rank test above, and a hypothesis that fails it
+    // is rejected like a rank-deficient one. Skipped when already flagged
+    // (the hypothesis will be rejected by the model selector anyway).
+    if (!f.rank_deficient) {
+        normal_equations(a, f.normal);
+        f.rank_deficient = !cholesky(f.normal, f.chol);
+    }
+}
+
+void qr_solve(const QrFactor& f, const std::vector<double>& b,
+              QrSolution& out) {
+    const Matrix& r = f.r;
+    const std::size_t m = r.rows();
+    const std::size_t n = r.cols();
+    if (b.size() != m) {
+        throw InvalidArgumentError("least_squares: rhs size mismatch");
+    }
+    // Q^T b: the reflections of qr_factor, in its order, with the same
+    // dot-then-update arithmetic it would have applied to a column.
+    std::vector<double>& rhs = out.rhs;
+    rhs = b;
+    for (std::size_t k = 0; k < n; ++k) {
+        const double vnorm2 = f.vnorm2[k];
+        if (vnorm2 == 0.0) {
+            continue;
+        }
+        const double* v = f.v.row(k);
+        double dot = 0.0;
+        for (std::size_t i = k; i < m; ++i) {
+            dot += v[i - k] * rhs[i];
+        }
+        const double scale = 2.0 * dot / vnorm2;
+        for (std::size_t i = k; i < m; ++i) {
+            rhs[i] -= scale * v[i - k];
         }
     }
 
-    std::vector<double>& coef = work.coefficients;
+    // Back substitution on the upper-triangular R; dropped pivots get a
+    // zero coefficient.
+    std::vector<double>& coef = out.coefficients;
     coef.assign(n, 0.0);
-    work.rank_deficient = false;
-    const double rank_tol = 1e-11 * (col_norm_max > 0 ? col_norm_max : 1.0);
-    // Back substitution on the upper-triangular R.
     for (std::size_t ii = n; ii-- > 0;) {
-        if (std::abs(r(ii, ii)) <= rank_tol) {
+        if (std::abs(r(ii, ii)) <= f.rank_tol) {
             coef[ii] = 0.0;
-            work.rank_deficient = true;
             continue;
         }
         double acc = rhs[ii];
@@ -261,33 +292,33 @@ void least_squares_into(const Matrix& a, const std::vector<double>& b,
         }
         coef[ii] = acc / r(ii, ii);
     }
+}
+
+void least_squares_into(const Matrix& a, const std::vector<double>& b,
+                        LeastSquaresWork& work) {
+    qr_factor(a, work.factor);
+    qr_solve(work.factor, b, work);
+    work.rank_deficient = work.factor.rank_deficient;
+    const std::size_t m = a.rows();
+    const std::size_t n = a.cols();
     double res2 = 0.0;
-    for (std::size_t i = n; i < m; ++i) {
-        res2 += rhs[i] * rhs[i];
-    }
-    // Rank-deficient rows above n also contribute residual; recompute directly
-    // for robustness when flagged.
-    if (work.rank_deficient) {
-        res2 = 0.0;
+    if (!work.factor.pivot_dropped) {
+        for (std::size_t i = n; i < m; ++i) {
+            res2 += work.rhs[i] * work.rhs[i];
+        }
+    } else {
+        // With a dropped pivot the rows above n also carry residual;
+        // recompute it directly from A.
         for (std::size_t i = 0; i < m; ++i) {
             double pred = 0.0;
             for (std::size_t c = 0; c < n; ++c) {
-                pred += a(i, c) * coef[c];
+                pred += a(i, c) * work.coefficients[c];
             }
             const double d = pred - b[i];
             res2 += d * d;
         }
     }
     work.residual_norm = std::sqrt(res2);
-
-    // SPD check on the normal equations: its 1e-13 Cholesky tolerance is far
-    // stricter than the QR rank test above, and a hypothesis that fails it
-    // is rejected like a rank-deficient one. Skipped when already flagged
-    // (the hypothesis will be rejected by the model selector anyway).
-    if (!work.rank_deficient) {
-        normal_equations(a, work.normal);
-        work.rank_deficient = !cholesky(work.normal, work.chol);
-    }
 }
 
 LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) {
@@ -298,7 +329,7 @@ LeastSquaresResult least_squares(const Matrix& a, const std::vector<double>& b) 
     out.residual_norm = work.residual_norm;
     out.rank_deficient = work.rank_deficient;
     if (!out.rank_deficient) {
-        out.covariance_unscaled = cholesky_inverse(work.chol);
+        out.covariance_unscaled = cholesky_inverse(work.factor.chol);
     }
     return out;
 }

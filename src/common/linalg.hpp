@@ -47,31 +47,63 @@ struct LeastSquaresResult {
     bool rank_deficient = false;  ///< true if A was (numerically) rank deficient
 };
 
-/// Caller-owned, reusable buffers of least_squares_into. Every buffer is
-/// resized and overwritten before it is read, so one workspace can serve any
-/// sequence of shapes; after the largest shape has been seen once, a solve
-/// allocates nothing.
-struct LeastSquaresWork {
-    Matrix r;                  ///< working copy of A, reduced to R by QR
-    std::vector<double> rhs;   ///< working copy of b, transformed to Q^T b
-    std::vector<double> v;     ///< Householder vector of the current column
+/// The values-independent half of a least-squares solve of A x ~= b: the
+/// Householder QR of A, its rank verdict and the SPD check of A^T A. None of
+/// it reads b, so one factor serves any number of right-hand sides through
+/// qr_solve. Every buffer is resized and overwritten before it is read, so
+/// one factor object can be refactored through any sequence of shapes; after
+/// the largest shape has been seen once, qr_factor allocates nothing.
+struct QrFactor {
+    Matrix r;  ///< working copy of A, reduced to R by QR
+    /// Row k: the Householder vector of column k (its first m - k entries).
+    Matrix v;
+    /// v_k^T v_k per column; 0 where column k was not reflected.
+    std::vector<double> vnorm2;
     std::vector<double> dots;  ///< v^T R(:, c) over the trailing columns
     Matrix normal;             ///< A^T A, assembled for the SPD check
     /// Cholesky factor L of A^T A = L L^T; valid only when !rank_deficient.
     Matrix chol;
-    std::vector<double> coefficients;  ///< beta minimising ||A beta - b||_2
-    double residual_norm = 0.0;        ///< ||A beta - b||_2 at the solution
-    bool rank_deficient = false;  ///< see least_squares
+    double rank_tol = 0.0;  ///< pivots with |R(k, k)| <= rank_tol are dropped
+    bool pivot_dropped = false;   ///< the QR rank test failed
+    bool rank_deficient = false;  ///< the QR rank test or the SPD check failed
 };
 
-/// Solves the overdetermined system A x ~= b in the least-squares sense via
-/// Householder QR with column norm checks, into `work`. A must have
-/// rows >= cols. If A is numerically rank deficient the affected
-/// coefficients are set to zero and `rank_deficient` is flagged rather than
-/// throwing, because the PMNF search legitimately generates collinear
-/// hypotheses that should simply score badly. A system that passes the QR
-/// rank test is additionally flagged when A^T A fails the Cholesky SPD check
-/// (a far stricter tolerance), leaving `work.chol` as that factor otherwise.
+/// The per-right-hand-side half of a least-squares solve.
+struct QrSolution {
+    /// b transformed to Q^T b; its entries past the column count are the
+    /// residual's components unless the factor dropped a pivot.
+    std::vector<double> rhs;
+    std::vector<double> coefficients;  ///< beta minimising ||A beta - b||_2
+};
+
+/// Caller-owned, reusable buffers of least_squares_into: one factor, one
+/// solution, and the solve's residual and rank verdict.
+struct LeastSquaresWork : QrSolution {
+    QrFactor factor;
+    double residual_norm = 0.0;   ///< ||A beta - b||_2 at the solution
+    bool rank_deficient = false;  ///< copied from the factor
+};
+
+/// Householder QR of A (rows >= cols) with column norm checks, into `f`. A
+/// column whose pivot falls below the rank tolerance sets `pivot_dropped`
+/// (qr_solve then zeroes its coefficient) rather than throwing, because the
+/// PMNF search legitimately generates collinear hypotheses that should
+/// simply score badly. A system that passes the QR rank test is additionally
+/// flagged when A^T A fails the Cholesky SPD check (a far stricter
+/// tolerance), leaving `f.chol` as that factor otherwise.
+void qr_factor(const Matrix& a, QrFactor& f);
+
+/// Solves A x ~= b for the A that `f` factors: replays the Householder
+/// reflections on b in the order qr_factor computed them, then back
+/// substitution. The residual is left in the tail of `out.rhs`, unsummed:
+/// the hypothesis search never reads it.
+void qr_solve(const QrFactor& f, const std::vector<double>& b,
+              QrSolution& out);
+
+/// Least squares of A x ~= b into `work`: qr_factor + qr_solve, then the
+/// residual norm from the transformed tail of b, or recomputed from A
+/// directly when a pivot was dropped. A system that fails either rank check
+/// has `rank_deficient` set.
 void least_squares_into(const Matrix& a, const std::vector<double>& b,
                         LeastSquaresWork& work);
 

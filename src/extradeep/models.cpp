@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/parallel_for.hpp"
 #include "common/stats.hpp"
 #include "dnn/datasets.hpp"
 #include "parallel/steps.hpp"
@@ -101,11 +101,11 @@ std::vector<KernelModelEntry> model_kernels(
     if (!steps) {
         throw InvalidArgumentError("model_kernels: null StepMathFn");
     }
-    // Gather the per-(kernel, metric) fit inputs serially, then run the
-    // independent PMNF fits across the thread budget of the generator. When
-    // the kernel loop is parallel the per-fit hypothesis search runs
-    // serially (and vice versa), so the thread count is a single knob and
-    // never oversubscribes.
+    // Gather the per-(kernel, metric) fit inputs, then fit every task that
+    // shares its measurement points in one batched search: the search's
+    // factorizations depend only on the points, and a kernel absent at
+    // some configuration has other points than one present at all of them.
+    // The generator's thread budget goes to each batch's hypothesis loop.
     struct FitTask {
         std::string name;
         trace::KernelCategory category;
@@ -144,29 +144,29 @@ std::vector<KernelModelEntry> model_kernels(
         }
     }
 
-    const int threads = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(
-            resolve_num_threads(generator.options().num_threads)),
-        std::max<std::size_t>(tasks.size(), 1)));
-    modeling::FitOptions per_kernel_options = generator.options();
-    per_kernel_options.num_threads = threads > 1 ? 1 : generator.options().num_threads;
-    const modeling::ModelGenerator per_kernel_generator(per_kernel_options);
-
+    std::map<std::vector<double>, std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        groups[tasks[i].xs].push_back(i);
+    }
     std::vector<KernelModelEntry> out(tasks.size());
-    ThreadPool pool(threads);
-    pool.parallel_for(tasks.size(), [&](int, std::size_t begin,
-                                        std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            const FitTask& task = tasks[i];
-            KernelModelEntry& entry = out[i];
+    for (const auto& [xs, group] : groups) {
+        std::vector<std::vector<double>> value_sets;
+        for (const std::size_t i : group) {
+            value_sets.push_back(std::move(tasks[i].train_values));
+            value_sets.push_back(std::move(tasks[i].val_values));
+        }
+        std::vector<modeling::PerformanceModel> models =
+            generator.fit_batch(xs, value_sets);
+        for (std::size_t g = 0; g < group.size(); ++g) {
+            const FitTask& task = tasks[group[g]];
+            KernelModelEntry& entry = out[group[g]];
             entry.name = task.name;
             entry.category = task.category;
             entry.metric = task.metric;
-            entry.model = EpochModel(
-                per_kernel_generator.fit(task.xs, task.train_values),
-                per_kernel_generator.fit(task.xs, task.val_values), steps);
+            entry.model = EpochModel(std::move(models[2 * g]),
+                                     std::move(models[2 * g + 1]), steps);
         }
-    });
+    }
     return out;
 }
 

@@ -19,6 +19,48 @@ std::map<std::string, double> params_for(int ranks) {
 
 }  // namespace
 
+void fit_application_models(ExperimentResult& result,
+                            const modeling::ModelGenerator& generator) {
+    // Per-step metric series at the modeling points, then the application
+    // models: PMNF per-step fits composed with the analytical step counts
+    // (Eqs. 2-6). The derived per-epoch values are also recorded, both for
+    // reporting model accuracy the way the paper defines it and for
+    // downstream cost models. series[0/1] are the epoch total's train/val
+    // series, series[2 + 2p / 3 + 2p] phase p's.
+    std::vector<std::vector<double>> series(2 * (1 + trace::kPhaseCount));
+    for (const auto& config : result.data.configs()) {
+        const int ranks = static_cast<int>(config.params.at("x1"));
+        const parallel::StepMath& sm = result.step_math.at(ranks);
+        result.modeling_xs.push_back(static_cast<double>(ranks));
+        result.epoch_time_values.push_back(aggregation::derived_epoch_total(
+            config, sm, aggregation::Metric::Time));
+        double train_sum = 0.0;
+        double val_sum = 0.0;
+        for (int p = 0; p < trace::kPhaseCount; ++p) {
+            const auto phase = static_cast<trace::Phase>(p);
+            const double t =
+                config.phase_metric(phase, aggregation::Metric::Time, true);
+            const double v =
+                config.phase_metric(phase, aggregation::Metric::Time, false);
+            series[2 + 2 * p].push_back(t);
+            series[3 + 2 * p].push_back(v);
+            train_sum += t;
+            val_sum += v;
+        }
+        series[0].push_back(train_sum);
+        series[1].push_back(val_sum);
+    }
+    std::vector<modeling::PerformanceModel> models =
+        generator.fit_batch(result.modeling_xs, series);
+    result.epoch_time = EpochModel(std::move(models[0]), std::move(models[1]),
+                                   result.step_math_fn);
+    for (int p = 0; p < trace::kPhaseCount; ++p) {
+        result.phase_time[p] = EpochModel(std::move(models[2 + 2 * p]),
+                                          std::move(models[3 + 2 * p]),
+                                          result.step_math_fn);
+    }
+}
+
 std::string ExperimentSpec::describe() const {
     std::ostringstream os;
     os << dataset << " on " << system.name << ", "
@@ -101,49 +143,9 @@ ExperimentResult ExperimentRunner::run(
         result.step_math[ranks] = workload_for(ranks).step_math();
     }
 
-    // Per-step metric series at the modeling points, then the application
-    // models: PMNF per-step fits composed with the analytical step counts
-    // (Eqs. 2-6). The derived per-epoch values are also recorded, both for
-    // reporting model accuracy the way the paper defines it and for
-    // downstream cost models.
     result.step_math_fn = step_math_fn();
-    std::array<std::vector<double>, trace::kPhaseCount> phase_train;
-    std::array<std::vector<double>, trace::kPhaseCount> phase_val;
-    std::vector<double> total_train;
-    std::vector<double> total_val;
-    for (const auto& config : result.data.configs()) {
-        const int ranks = static_cast<int>(config.params.at("x1"));
-        const parallel::StepMath& sm = result.step_math.at(ranks);
-        result.modeling_xs.push_back(static_cast<double>(ranks));
-        result.epoch_time_values.push_back(aggregation::derived_epoch_total(
-            config, sm, aggregation::Metric::Time));
-        double train_sum = 0.0;
-        double val_sum = 0.0;
-        for (int p = 0; p < trace::kPhaseCount; ++p) {
-            const auto phase = static_cast<trace::Phase>(p);
-            const double t =
-                config.phase_metric(phase, aggregation::Metric::Time, true);
-            const double v =
-                config.phase_metric(phase, aggregation::Metric::Time, false);
-            phase_train[p].push_back(t);
-            phase_val[p].push_back(v);
-            train_sum += t;
-            val_sum += v;
-        }
-        total_train.push_back(train_sum);
-        total_val.push_back(val_sum);
-    }
     const obs::Span fit_span{"runner.fit_models"};
-    result.epoch_time =
-        EpochModel(generator.fit(result.modeling_xs, total_train),
-                   generator.fit(result.modeling_xs, total_val),
-                   result.step_math_fn);
-    for (int p = 0; p < trace::kPhaseCount; ++p) {
-        result.phase_time[p] =
-            EpochModel(generator.fit(result.modeling_xs, phase_train[p]),
-                       generator.fit(result.modeling_xs, phase_val[p]),
-                       result.step_math_fn);
-    }
+    fit_application_models(result, generator);
     return result;
 }
 

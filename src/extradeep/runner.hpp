@@ -31,9 +31,9 @@ struct ExperimentSpec {
     int repetitions = 5;
     profiling::SamplingStrategy sampling = profiling::SamplingStrategy::efficient();
     std::uint64_t seed = 1;
-    /// Threads for the model-generation stage (hypothesis search and the
-    /// per-kernel fit loop). 1 = serial, 0 = hardware concurrency. Results
-    /// are bit-identical at any thread count.
+    /// Threads for the model-generation stage (the hypothesis search of
+    /// each batched fit). 1 = serial, 0 = hardware concurrency. Results are
+    /// bit-identical at any thread count.
     int fit_threads = 1;
 
     std::string describe() const;
@@ -56,6 +56,16 @@ struct ExperimentResult {
     /// StepMath precomputed for the modeling/evaluation points.
     std::map<int, parallel::StepMath> step_math;
 };
+
+/// The application-model stage shared by the runner and the fleet refits:
+/// derives result.data's per-step series (the epoch total and each phase
+/// total, train and validation) and the per-epoch time values (Eq. 6), and
+/// fits the eight per-step models in one fit_batch (Eqs. 2-6). Requires
+/// result.step_math to hold every configuration's rank count and
+/// result.step_math_fn to be set; fills modeling_xs, epoch_time_values,
+/// epoch_time and phase_time.
+void fit_application_models(ExperimentResult& result,
+                            const modeling::ModelGenerator& generator);
 
 /// Drives one experiment end to end: builds the simulator for each
 /// configuration, profiles it with the configured sampling strategy,

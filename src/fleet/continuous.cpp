@@ -261,50 +261,16 @@ void FleetService::run_fit_job(FitJob job) {
             result.step_math_fn = make_step_math_fn(
                 spec.dataset, spec.strategy, spec.model_parallel_degree,
                 spec.scaling, spec.batch_per_worker);
-            std::array<std::vector<double>, trace::kPhaseCount> phase_train;
-            std::array<std::vector<double>, trace::kPhaseCount> phase_val;
-            std::vector<double> total_train;
-            std::vector<double> total_val;
             result.data = std::move(data);
             for (const auto& config : result.data.configs()) {
                 const int ranks = static_cast<int>(config.params.at("x1"));
-                const parallel::StepMath sm = result.step_math_fn(ranks);
-                result.step_math[ranks] = sm;
-                result.modeling_xs.push_back(static_cast<double>(ranks));
-                result.epoch_time_values.push_back(
-                    aggregation::derived_epoch_total(
-                        config, sm, aggregation::Metric::Time));
-                double train_sum = 0.0;
-                double val_sum = 0.0;
-                for (int p = 0; p < trace::kPhaseCount; ++p) {
-                    const auto phase = static_cast<trace::Phase>(p);
-                    const double t = config.phase_metric(
-                        phase, aggregation::Metric::Time, true);
-                    const double v = config.phase_metric(
-                        phase, aggregation::Metric::Time, false);
-                    phase_train[p].push_back(t);
-                    phase_val[p].push_back(v);
-                    train_sum += t;
-                    val_sum += v;
-                }
-                total_train.push_back(train_sum);
-                total_val.push_back(val_sum);
+                result.step_math[ranks] = result.step_math_fn(ranks);
             }
             // Serial fit per job: refit parallelism comes from concurrent
             // jobs on the pool, and serial fits are bit-deterministic.
             modeling::FitOptions fit_opts;
             fit_opts.num_threads = 1;
-            const modeling::ModelGenerator generator(fit_opts);
-            result.epoch_time =
-                EpochModel(generator.fit(result.modeling_xs, total_train),
-                           generator.fit(result.modeling_xs, total_val),
-                           result.step_math_fn);
-            for (int p = 0; p < trace::kPhaseCount; ++p) {
-                result.phase_time[p] = EpochModel(
-                    generator.fit(result.modeling_xs, phase_train[p]),
-                    generator.fit(result.modeling_xs, phase_val[p]),
-                    result.step_math_fn);
-            }
+            fit_application_models(result, modeling::ModelGenerator(fit_opts));
             const serve::ServableModel servable =
                 serve::make_servable(spec, result, job.experiment);
             {

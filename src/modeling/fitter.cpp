@@ -91,21 +91,30 @@ private:
     std::vector<std::vector<double>> columns_;
 };
 
+/// The value sets scored together in one batched search.
+using ValueSets = std::vector<const std::vector<double>*>;
+
 /// Per-thread scratch buffers for the hypothesis-fit loop: the basis matrix,
-/// the row-subset system of the leave-one-out refits, the least-squares
-/// workspace, and the prediction vectors are reused across hypotheses
-/// instead of reallocated per fit, so the search allocates nothing once each
-/// buffer has seen its largest shape. Every cell the fit reads is
-/// overwritten first, so reuse cannot leak state between hypotheses (and
-/// results stay bit-identical to fresh buffers).
-struct FitScratch {
+/// the row-subset system of the leave-one-out refits, the factorizations of
+/// the full and leave-one-out systems, one solution, the prediction vectors
+/// and the per-value-set verdicts are reused across hypotheses instead of
+/// reallocated per fit, so the search allocates nothing once each buffer
+/// has seen its largest shape. Every cell the fit reads is overwritten
+/// first, so reuse cannot leak state between hypotheses (and results stay
+/// bit-identical to fresh buffers). Cache-line aligned: the buffer headers
+/// are rewritten per hypothesis, and neighbouring threads' scratch sharing a
+/// line cost a third of the two-thread search time.
+struct alignas(64) FitScratch {
     linalg::Matrix basis;
     linalg::Matrix a;
     std::vector<double> b;
     std::vector<double> term_col;
     std::vector<double> predicted;
     std::vector<double> cv_pred;
-    linalg::LeastSquaresWork ls;
+    linalg::QrFactor full;
+    std::vector<linalg::QrFactor> loo;  ///< loo[i]: the system without row i
+    linalg::QrSolution solution;
+    std::vector<HypothesisFit> fits;  ///< fits[j]: verdict for value set j
 };
 
 /// Assembles a hypothesis's basis matrix from cached factor columns into
@@ -137,26 +146,32 @@ void basis_matrix(const std::vector<Term>& terms,
     }
 }
 
-/// Least squares on all rows but `excluded_row`, into scratch.ls.
-const linalg::LeastSquaresWork& fit_without_row(
-    const linalg::Matrix& basis, const std::vector<double>& values,
-    std::size_t excluded_row, FitScratch& scratch) {
+/// Factors the system of scratch.basis without each of its rows in turn,
+/// into scratch.loo. Returns false at the first rank-deficient subset: the
+/// hypothesis then fails cross-validation whatever the values.
+bool factor_leave_one_out(FitScratch& scratch) {
+    const linalg::Matrix& basis = scratch.basis;
     const std::size_t n = basis.rows();
     const std::size_t k = basis.cols();
-    const std::size_t rows = n - 1;
-    scratch.a.assign(rows, k);
-    scratch.b.resize(rows);
-    std::size_t r = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i == excluded_row) {
-            continue;
-        }
-        std::memcpy(scratch.a.row(r), basis.row(i), k * sizeof(double));
-        scratch.b[r] = values[i];
-        ++r;
+    if (scratch.loo.size() < n) {
+        scratch.loo.resize(n);
     }
-    linalg::least_squares_into(scratch.a, scratch.b, scratch.ls);
-    return scratch.ls;
+    for (std::size_t excluded = 0; excluded < n; ++excluded) {
+        scratch.a.assign(n - 1, k);
+        std::size_t r = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i == excluded) {
+                continue;
+            }
+            std::memcpy(scratch.a.row(r), basis.row(i), k * sizeof(double));
+            ++r;
+        }
+        linalg::qr_factor(scratch.a, scratch.loo[excluded]);
+        if (scratch.loo[excluded].rank_deficient) {
+            return false;
+        }
+    }
+    return true;
 }
 
 /// Whether a hypothesis with `num_terms` terms can be judged on n points.
@@ -170,28 +185,17 @@ bool enough_points(std::size_t n, std::size_t num_terms) {
     return n >= k + 1 || (n == k && num_terms == 0);
 }
 
-/// Fits one hypothesis given its prebuilt basis matrix (in scratch.basis).
-/// The caller must have checked enough_points already.
-HypothesisFit fit_basis(std::size_t num_terms,
-                        const std::vector<double>& values,
-                        FitScratch& scratch) {
+/// Scores one value set against the factored hypothesis in scratch (basis,
+/// full and, when `cross_validate`, leave-one-out factors).
+HypothesisFit fit_values(const std::vector<double>& values,
+                         bool cross_validate, FitScratch& scratch) {
     HypothesisFit out;
     const linalg::Matrix& basis = scratch.basis;
     const std::size_t n = basis.rows();
-    const std::size_t k = num_terms + 1;
-    for (std::size_t r = 0; r < basis.rows(); ++r) {
-        for (std::size_t c = 0; c < basis.cols(); ++c) {
-            if (!std::isfinite(basis(r, c))) {
-                return out;
-            }
-        }
-    }
-    linalg::least_squares_into(basis, values, scratch.ls);
-    const linalg::LeastSquaresWork& full = scratch.ls;
-    if (full.rank_deficient) {
-        return out;
-    }
-    for (const double c : full.coefficients) {
+    const std::size_t k = basis.cols();
+    linalg::qr_solve(scratch.full, values, scratch.solution);
+    const std::vector<double>& coef = scratch.solution.coefficients;
+    for (const double c : coef) {
         if (!std::isfinite(c)) {
             return out;
         }
@@ -201,37 +205,35 @@ HypothesisFit fit_basis(std::size_t num_terms,
     for (std::size_t i = 0; i < n; ++i) {
         double v = 0.0;
         for (std::size_t c = 0; c < k; ++c) {
-            v += basis(i, c) * full.coefficients[c];
+            v += basis(i, c) * coef[c];
         }
         scratch.predicted[i] = v;
     }
     out.fit_smape = stats::smape(scratch.predicted, values);
 
     // Leave-one-out cross-validation, the paper's selection criterion.
-    if (n >= k + 1) {
+    if (cross_validate) {
         scratch.cv_pred.resize(n);
-        bool cv_ok = true;
+        scratch.b.resize(n - 1);
         for (std::size_t leave = 0; leave < n; ++leave) {
-            const auto& part = fit_without_row(basis, values, leave, scratch);
-            if (part.rank_deficient) {
-                cv_ok = false;
-                break;
+            std::size_t r = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (i != leave) {
+                    scratch.b[r++] = values[i];
+                }
             }
+            linalg::qr_solve(scratch.loo[leave], scratch.b, scratch.solution);
+            const std::vector<double>& part = scratch.solution.coefficients;
             double v = 0.0;
             for (std::size_t c = 0; c < k; ++c) {
-                v += basis(leave, c) * part.coefficients[c];
+                v += basis(leave, c) * part[c];
             }
             if (!std::isfinite(v)) {
-                cv_ok = false;
-                break;
+                return out;
             }
             scratch.cv_pred[leave] = v;
         }
-        if (cv_ok) {
-            out.cv_smape = stats::smape(scratch.cv_pred, values);
-        } else {
-            return out;
-        }
+        out.cv_smape = stats::smape(scratch.cv_pred, values);
     } else {
         // Only reachable for the constant hypothesis at n == 1 (see
         // enough_points): no spare point for cross-validation, fall back to
@@ -242,15 +244,40 @@ HypothesisFit fit_basis(std::size_t num_terms,
     return out;
 }
 
-HypothesisFit fit_hypothesis(const std::vector<Term>& terms,
-                             const FactorColumnCache& cache,
-                             const std::vector<double>& values,
-                             FitScratch& scratch) {
-    if (!enough_points(cache.num_points(), terms.size())) {
-        return {};
+/// Scores one hypothesis against every value set into scratch.fits. The
+/// basis, its finiteness check and the n + 1 factorizations are computed
+/// once; each value set then pays only for its solves, with the arithmetic
+/// of a standalone fit. A verdict that does not depend on the values (a
+/// non-finite basis, a rank-deficient full or leave-one-out system)
+/// invalidates the hypothesis for all of them.
+void score_hypothesis(const std::vector<Term>& terms,
+                      const FactorColumnCache& cache,
+                      const ValueSets& value_sets, FitScratch& scratch) {
+    scratch.fits.assign(value_sets.size(), HypothesisFit{});
+    const std::size_t n = cache.num_points();
+    if (!enough_points(n, terms.size())) {
+        return;
     }
     basis_matrix(terms, cache, scratch);
-    return fit_basis(terms.size(), values, scratch);
+    const linalg::Matrix& basis = scratch.basis;
+    for (std::size_t r = 0; r < basis.rows(); ++r) {
+        for (std::size_t c = 0; c < basis.cols(); ++c) {
+            if (!std::isfinite(basis(r, c))) {
+                return;
+            }
+        }
+    }
+    linalg::qr_factor(basis, scratch.full);
+    if (scratch.full.rank_deficient) {
+        return;
+    }
+    const bool cross_validate = n >= basis.cols() + 1;
+    if (cross_validate && !factor_leave_one_out(scratch)) {
+        return;
+    }
+    for (std::size_t j = 0; j < value_sets.size(); ++j) {
+        scratch.fits[j] = fit_values(*value_sets[j], cross_validate, scratch);
+    }
 }
 
 /// Canonical order-independent key of a hypothesis, used to deduplicate the
@@ -290,201 +317,163 @@ void dedupe_hypotheses(std::vector<std::vector<Term>>& hypotheses) {
     hypotheses = std::move(unique);
 }
 
-}  // namespace
-
-ModelGenerator::ModelGenerator(FitOptions options) : options_(std::move(options)) {}
-
-PerformanceModel ModelGenerator::fit(
-    const std::vector<std::vector<double>>& points,
-    const std::vector<double>& values,
-    std::vector<std::string> param_names) const {
-    const obs::Span fit_span{"fit.model"};
-    if (points.size() != values.size()) {
-        throw InvalidArgumentError("ModelGenerator::fit: size mismatch");
-    }
-    if (points.size() < static_cast<std::size_t>(options_.min_points)) {
-        throw InvalidArgumentError(
-            "ModelGenerator::fit: at least " +
-            std::to_string(options_.min_points) +
-            " measurement points are required (got " +
-            std::to_string(points.size()) + ")");
-    }
-    const std::size_t dims = points.front().size();
-    if (dims == 0) {
-        throw InvalidArgumentError("ModelGenerator::fit: zero-dimensional points");
-    }
-    for (const auto& p : points) {
-        if (p.size() != dims) {
-            throw InvalidArgumentError(
-                "ModelGenerator::fit: inconsistent point dimensions");
-        }
-    }
-    param_names.resize(dims);
-    for (std::size_t d = 0; d < dims; ++d) {
-        if (param_names[d].empty()) {
-            param_names[d] = std::string("x") + std::to_string(d + 1);
-        }
-    }
-    for (const double v : values) {
-        if (!std::isfinite(v)) {
-            throw InvalidArgumentError("ModelGenerator::fit: non-finite value");
-        }
-    }
-
-    // Collect hypotheses: single-parameter spaces per parameter, plus
-    // multi-parameter combinations of each parameter's best factors.
+/// One hypothesis search: a hypothesis list and the value sets (indices
+/// into fit_batch's value_sets) whose fits search exactly that list.
+struct Search {
+    std::vector<std::vector<Factor>> best_factors;  ///< per parameter (dims > 1)
     std::vector<std::vector<Term>> hypotheses;
+    std::vector<std::size_t> members;
+};
+
+/// Extra-P's heuristic for multi-parameter fits: each parameter's factors
+/// are ranked on the subset of points where all *other* parameters are held
+/// at their most frequent combination, so the other parameters' influence
+/// does not distort the ranking. Returns the row indices of that subset, or
+/// of all points when the subset has fewer than three.
+std::vector<std::size_t> ranking_rows(
+    const std::vector<std::vector<double>>& points, std::size_t d) {
+    std::map<std::vector<double>, int> combos;
+    for (const auto& p : points) {
+        std::vector<double> key = p;
+        key[d] = 0.0;
+        ++combos[key];
+    }
+    const auto best_combo = std::max_element(
+        combos.begin(), combos.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    std::vector<std::size_t> rows;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        std::vector<double> key = points[i];
+        key[d] = 0.0;
+        if (key == best_combo->first) {
+            rows.push_back(i);
+        }
+    }
+    if (rows.size() < 3) {
+        rows.resize(points.size());  // fall back to the full data
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            rows[i] = i;
+        }
+    }
+    return rows;
+}
+
+/// Partitions the value sets into hypothesis searches. With one parameter
+/// the list is the single-parameter space for every value set. With more,
+/// it holds the constant, every parameter's 1-term hypotheses, and the
+/// multi-parameter combinations of each parameter's best factors; those
+/// depend on the values, and value sets with the same best factors share a
+/// search.
+std::vector<Search> plan_searches(
+    const FitOptions& options, const std::vector<std::vector<double>>& points,
+    const std::vector<std::vector<double>>& value_sets) {
+    const std::size_t dims = points.front().size();
+    std::vector<Search> searches;
     if (dims == 1) {
-        hypotheses = options_.space.single_parameter_hypotheses(0);
-    } else {
-        hypotheses.push_back({});  // constant
-        std::vector<std::vector<Factor>> best_factors(dims);
-        for (std::size_t d = 0; d < dims; ++d) {
-            auto single = options_.space.single_parameter_hypotheses(
-                static_cast<int>(d));
-            // Extra-P's heuristic: rank this parameter's factors on the
-            // subset of points where all *other* parameters are held at
-            // their most frequent combination, so the other parameters'
-            // influence does not distort the ranking.
-            std::vector<std::vector<double>> rank_points;
-            std::vector<double> rank_values;
-            {
-                std::map<std::vector<double>, int> combos;
-                for (const auto& p : points) {
-                    std::vector<double> key = p;
-                    key[d] = 0.0;
-                    ++combos[key];
-                }
-                const auto best_combo = std::max_element(
-                    combos.begin(), combos.end(),
-                    [](const auto& a, const auto& b) {
-                        return a.second < b.second;
-                    });
-                for (std::size_t i = 0; i < points.size(); ++i) {
-                    std::vector<double> key = points[i];
-                    key[d] = 0.0;
-                    if (key == best_combo->first) {
-                        rank_points.push_back(points[i]);
-                        rank_values.push_back(values[i]);
-                    }
-                }
-                if (rank_points.size() < 3) {
-                    rank_points = points;  // fall back to the full data
-                    rank_values = values;
+        Search& all = searches.emplace_back();
+        all.hypotheses = options.space.single_parameter_hypotheses(0);
+        all.members.resize(value_sets.size());
+        for (std::size_t j = 0; j < value_sets.size(); ++j) {
+            all.members[j] = j;
+        }
+        return searches;
+    }
+
+    std::vector<std::vector<std::vector<Term>>> singles(dims);
+    std::vector<std::vector<std::vector<Factor>>> best_factors(
+        value_sets.size(), std::vector<std::vector<Factor>>(dims));
+    FitScratch rank_scratch;
+    for (std::size_t d = 0; d < dims; ++d) {
+        singles[d] =
+            options.space.single_parameter_hypotheses(static_cast<int>(d));
+        const std::vector<std::size_t> rows = ranking_rows(points, d);
+        std::vector<std::vector<double>> rank_points;
+        for (const std::size_t i : rows) {
+            rank_points.push_back(points[i]);
+        }
+        std::vector<std::vector<double>> rank_values(value_sets.size());
+        ValueSets rank_sets;
+        for (std::size_t j = 0; j < value_sets.size(); ++j) {
+            for (const std::size_t i : rows) {
+                rank_values[j].push_back(value_sets[j][i]);
+            }
+            rank_sets.push_back(&rank_values[j]);
+        }
+        // Rank this parameter's 1-term hypotheses by CV error, sharing one
+        // factor-column cache over the ranking subset.
+        const FactorColumnCache rank_cache(singles[d], rank_points);
+        std::vector<std::vector<std::pair<double, Factor>>> ranked(
+            value_sets.size());
+        for (const auto& h : singles[d]) {
+            if (h.size() != 1) {
+                continue;
+            }
+            score_hypothesis(h, rank_cache, rank_sets, rank_scratch);
+            for (std::size_t j = 0; j < value_sets.size(); ++j) {
+                if (rank_scratch.fits[j].valid) {
+                    ranked[j].emplace_back(rank_scratch.fits[j].cv_smape,
+                                           h.front().factors.front());
                 }
             }
-            // Rank this parameter's 1-term hypotheses by CV error, sharing
-            // one factor-column cache over the ranking subset.
-            const FactorColumnCache rank_cache(single, rank_points);
-            FitScratch rank_scratch;
-            std::vector<std::pair<double, Factor>> ranked;
-            for (const auto& h : single) {
-                if (h.size() != 1) {
-                    continue;
-                }
-                const auto f =
-                    fit_hypothesis(h, rank_cache, rank_values, rank_scratch);
-                if (f.valid) {
-                    ranked.emplace_back(f.cv_smape, h.front().factors.front());
-                }
-                hypotheses.push_back(h);  // keep single-param candidates too
-            }
-            std::sort(ranked.begin(), ranked.end(),
+        }
+        for (std::size_t j = 0; j < value_sets.size(); ++j) {
+            std::sort(ranked[j].begin(), ranked[j].end(),
                       [](const auto& a, const auto& b) {
                           return a.first < b.first;
                       });
             const std::size_t top = std::min<std::size_t>(
-                ranked.size(),
-                static_cast<std::size_t>(options_.multi_param_top_factors));
+                ranked[j].size(),
+                static_cast<std::size_t>(options.multi_param_top_factors));
             for (std::size_t i = 0; i < top; ++i) {
-                best_factors[d].push_back(ranked[i].second);
+                best_factors[j][d].push_back(ranked[j][i].second);
             }
         }
-        const auto multi =
-            options_.space.multi_parameter_hypotheses(best_factors);
-        hypotheses.insert(hypotheses.end(), multi.begin(), multi.end());
-        // Only the multi-parameter generator can emit duplicates; the
-        // single-parameter spaces are duplicate-free by construction.
-        dedupe_hypotheses(hypotheses);
     }
 
-    // Fit all hypotheses and select by (penalised) cross-validated SMAPE.
-    // The loop is embarrassingly parallel: every hypothesis fit only reads
-    // the shared factor-column cache, and each chunk reduces into its own
-    // (score, index, fit) slot. Chunks are merged in index order with ties
-    // broken by the smaller hypothesis index, which reproduces the serial
-    // first-strict-minimum selection bit for bit at any thread count.
-    const FactorColumnCache cache(hypotheses, points);
-    const int threads = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(resolve_num_threads(options_.num_threads)),
-        std::max<std::size_t>(hypotheses.size(), 1)));
-    struct ChunkBest {
-        double score = std::numeric_limits<double>::infinity();
-        std::size_t index = 0;
-        HypothesisFit fit;
-        bool any = false;
-    };
-    std::vector<ChunkBest> chunk_best(static_cast<std::size_t>(threads));
-    std::vector<FitScratch> scratch(static_cast<std::size_t>(threads));
-    if (obs::trace_enabled()) {
-        obs::global_metrics()
-            .counter("extradeep_fit_hypotheses_total")
-            .increment(hypotheses.size());
-        obs::global_metrics().counter("extradeep_fit_models_total").increment();
-    }
-    ThreadPool pool(threads);
-    pool.parallel_for(
-        hypotheses.size(),
-        [&](int chunk, std::size_t begin, std::size_t end) {
-            // Per-chunk span: under the TaskContextHook these nest below
-            // fit.model even on worker threads, so the exported trace shows
-            // the search's parallel structure per thread.
-            const obs::Span chunk_span{"fit.hypothesis_chunk"};
-            ChunkBest& best = chunk_best[static_cast<std::size_t>(chunk)];
-            FitScratch& chunk_scratch = scratch[static_cast<std::size_t>(chunk)];
-            for (std::size_t i = begin; i < end; ++i) {
-                auto f = fit_hypothesis(hypotheses[i], cache, values,
-                                        chunk_scratch);
-                if (!f.valid) {
-                    continue;
-                }
-                const double score =
-                    f.cv_smape *
-                    (1.0 + options_.term_penalty *
-                               static_cast<double>(hypotheses[i].size()));
-                if (!best.any || score < best.score) {
-                    best.score = score;
-                    best.index = i;
-                    best.fit = std::move(f);
-                    best.any = true;
+    for (std::size_t j = 0; j < value_sets.size(); ++j) {
+        auto same = std::find_if(
+            searches.begin(), searches.end(),
+            [&](const Search& s) { return s.best_factors == best_factors[j]; });
+        if (same == searches.end()) {
+            Search search;
+            search.best_factors = best_factors[j];
+            search.hypotheses.push_back({});  // constant
+            for (const auto& single : singles) {
+                for (const auto& h : single) {
+                    if (h.size() == 1) {  // keep single-param candidates too
+                        search.hypotheses.push_back(h);
+                    }
                 }
             }
-        });
-    const ChunkBest* winner = nullptr;
-    for (const auto& b : chunk_best) {
-        if (!b.any) {
-            continue;
+            const auto multi =
+                options.space.multi_parameter_hypotheses(best_factors[j]);
+            search.hypotheses.insert(search.hypotheses.end(), multi.begin(),
+                                     multi.end());
+            // Only the multi-parameter generator can emit duplicates; the
+            // single-parameter spaces are duplicate-free by construction.
+            dedupe_hypotheses(search.hypotheses);
+            searches.push_back(std::move(search));
+            same = searches.end() - 1;
         }
-        if (winner == nullptr || b.score < winner->score ||
-            (b.score == winner->score && b.index < winner->index)) {
-            winner = &b;
-        }
+        same->members.push_back(j);
     }
-    if (winner == nullptr) {
-        throw NumericalError("ModelGenerator::fit: no hypothesis could be fitted");
-    }
-    const HypothesisFit& best_fit = winner->fit;
-    const int searched = static_cast<int>(hypotheses.size());
+    return searches;
+}
 
-    // Re-solve the winner once on its rebuilt basis: the same matrix and the
-    // same arithmetic as its full fit in the search, so coefficients and
-    // residual are bit-identical, and only this solve pays for the
-    // covariance inverse.
-    std::vector<Term> terms = hypotheses[winner->index];
-    FitScratch& winner_scratch = scratch.front();
-    basis_matrix(terms, cache, winner_scratch);
+/// The model of a search winner: its basis rebuilt and solved once more
+/// with least_squares. That is the same matrix and the same arithmetic as
+/// its full fit in the search, so coefficients and residual are
+/// bit-identical, and only this solve pays for the covariance inverse.
+PerformanceModel winner_model(std::vector<Term> terms,
+                              const HypothesisFit& best_fit, int searched,
+                              const FactorColumnCache& cache,
+                              const std::vector<std::vector<double>>& points,
+                              const std::vector<double>& values,
+                              std::vector<std::string> param_names,
+                              FitScratch& scratch) {
+    basis_matrix(terms, cache, scratch);
     const linalg::LeastSquaresResult full =
-        linalg::least_squares(winner_scratch.basis, values);
+        linalg::least_squares(scratch.basis, values);
     for (std::size_t t = 0; t < terms.size(); ++t) {
         terms[t].coefficient = full.coefficients[t + 1];
     }
@@ -514,15 +503,201 @@ PerformanceModel ModelGenerator::fit(
     return model;
 }
 
-PerformanceModel ModelGenerator::fit(const std::vector<double>& xs,
-                                     const std::vector<double>& ys,
-                                     const std::string& param_name) const {
+}  // namespace
+
+ModelGenerator::ModelGenerator(FitOptions options) : options_(std::move(options)) {}
+
+PerformanceModel ModelGenerator::fit(
+    const std::vector<std::vector<double>>& points,
+    const std::vector<double>& values,
+    std::vector<std::string> param_names) const {
+    return std::move(fit_batch(points, {values}, std::move(param_names)).front());
+}
+
+std::vector<PerformanceModel> ModelGenerator::fit_batch(
+    const std::vector<std::vector<double>>& points,
+    const std::vector<std::vector<double>>& value_sets,
+    std::vector<std::string> param_names) const {
+    const obs::Span fit_span{"fit.model"};
+    for (std::size_t j = 0; j < value_sets.size(); ++j) {
+        if (value_sets[j].size() != points.size()) {
+            throw InvalidArgumentError(
+                "ModelGenerator::fit: value set " + std::to_string(j) +
+                " has " + std::to_string(value_sets[j].size()) +
+                " values for " + std::to_string(points.size()) + " points");
+        }
+        for (const double v : value_sets[j]) {
+            if (!std::isfinite(v)) {
+                throw InvalidArgumentError(
+                    "ModelGenerator::fit: non-finite value in value set " +
+                    std::to_string(j));
+            }
+        }
+    }
+    if (points.size() < static_cast<std::size_t>(options_.min_points)) {
+        throw InvalidArgumentError(
+            "ModelGenerator::fit: at least " +
+            std::to_string(options_.min_points) +
+            " measurement points are required (got " +
+            std::to_string(points.size()) + ")");
+    }
+    const std::size_t dims = points.front().size();
+    if (dims == 0) {
+        throw InvalidArgumentError("ModelGenerator::fit: zero-dimensional points");
+    }
+    for (const auto& p : points) {
+        if (p.size() != dims) {
+            throw InvalidArgumentError(
+                "ModelGenerator::fit: inconsistent point dimensions");
+        }
+    }
+    if (value_sets.empty()) {
+        return {};
+    }
+    param_names.resize(dims);
+    for (std::size_t d = 0; d < dims; ++d) {
+        if (param_names[d].empty()) {
+            param_names[d] = std::string("x") + std::to_string(d + 1);
+        }
+    }
+
+    const std::vector<Search> searches =
+        plan_searches(options_, points, value_sets);
+    std::size_t max_hypotheses = 1;
+    for (const Search& search : searches) {
+        max_hypotheses = std::max(max_hypotheses, search.hypotheses.size());
+    }
+    const int threads = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(resolve_num_threads(options_.num_threads)),
+        max_hypotheses));
+    ThreadPool pool(threads);
+    std::vector<FitScratch> scratch(static_cast<std::size_t>(threads));
+    std::vector<PerformanceModel> models(value_sets.size());
+
+    for (const Search& search : searches) {
+        const std::vector<std::vector<Term>>& hypotheses = search.hypotheses;
+        const std::size_t count = search.members.size();
+        ValueSets sets;
+        for (const std::size_t j : search.members) {
+            sets.push_back(&value_sets[j]);
+        }
+        if (obs::trace_enabled()) {
+            obs::global_metrics()
+                .counter("extradeep_fit_hypotheses_total")
+                .increment(hypotheses.size() * count);
+            obs::global_metrics()
+                .counter("extradeep_fit_models_total")
+                .increment(count);
+        }
+
+        // Fit all hypotheses and select by (penalised) cross-validated
+        // SMAPE, hypothesis-major: every hypothesis is factored once and
+        // then scored against each value set. The loop is embarrassingly
+        // parallel: every hypothesis fit only reads the shared factor-column
+        // cache, and each chunk reduces into its own (score, index, fit)
+        // slot per value set. Chunks are merged in index order with ties
+        // broken by the smaller hypothesis index, which reproduces the
+        // serial first-strict-minimum selection bit for bit at any thread
+        // count.
+        const FactorColumnCache cache(hypotheses, points);
+        struct ChunkBest {
+            double score = std::numeric_limits<double>::infinity();
+            std::size_t index = 0;
+            HypothesisFit fit;
+            bool any = false;
+        };
+        std::vector<ChunkBest> chunk_best(static_cast<std::size_t>(threads) *
+                                          count);
+        pool.parallel_for(
+            hypotheses.size(),
+            [&](int chunk, std::size_t begin, std::size_t end) {
+                // Per-chunk span: under the TaskContextHook these nest below
+                // fit.model even on worker threads, so the exported trace
+                // shows the search's parallel structure per thread.
+                const obs::Span chunk_span{"fit.hypothesis_chunk"};
+                ChunkBest* best =
+                    &chunk_best[static_cast<std::size_t>(chunk) * count];
+                FitScratch& chunk_scratch =
+                    scratch[static_cast<std::size_t>(chunk)];
+                for (std::size_t i = begin; i < end; ++i) {
+                    score_hypothesis(hypotheses[i], cache, sets, chunk_scratch);
+                    const double penalty =
+                        1.0 + options_.term_penalty *
+                                  static_cast<double>(hypotheses[i].size());
+                    for (std::size_t j = 0; j < count; ++j) {
+                        const HypothesisFit& f = chunk_scratch.fits[j];
+                        if (!f.valid) {
+                            continue;
+                        }
+                        const double score = f.cv_smape * penalty;
+                        if (!best[j].any || score < best[j].score) {
+                            best[j].score = score;
+                            best[j].index = i;
+                            best[j].fit = f;
+                            best[j].any = true;
+                        }
+                    }
+                }
+            });
+        std::vector<const ChunkBest*> winners(count, nullptr);
+        for (std::size_t j = 0; j < count; ++j) {
+            for (int c = 0; c < threads; ++c) {
+                const ChunkBest& b =
+                    chunk_best[static_cast<std::size_t>(c) * count + j];
+                const ChunkBest*& winner = winners[j];
+                if (b.any && (winner == nullptr || b.score < winner->score ||
+                              (b.score == winner->score &&
+                               b.index < winner->index))) {
+                    winner = &b;
+                }
+            }
+            if (winners[j] == nullptr) {
+                throw NumericalError(
+                    "ModelGenerator::fit: no hypothesis could be fitted");
+            }
+        }
+        // The winners' re-solves are independent too; each chunk rebuilds
+        // its bases in its own scratch.
+        const int searched = static_cast<int>(hypotheses.size());
+        pool.parallel_for(count, [&](int chunk, std::size_t begin,
+                                     std::size_t end) {
+            for (std::size_t j = begin; j < end; ++j) {
+                const std::size_t member = search.members[j];
+                models[member] = winner_model(
+                    hypotheses[winners[j]->index], winners[j]->fit, searched,
+                    cache, points, value_sets[member], param_names,
+                    scratch[static_cast<std::size_t>(chunk)]);
+            }
+        });
+    }
+    return models;
+}
+
+namespace {
+
+std::vector<std::vector<double>> one_parameter_points(
+    const std::vector<double>& xs) {
     std::vector<std::vector<double>> points;
     points.reserve(xs.size());
     for (const double x : xs) {
         points.push_back({x});
     }
-    return fit(points, ys, {param_name});
+    return points;
+}
+
+}  // namespace
+
+PerformanceModel ModelGenerator::fit(const std::vector<double>& xs,
+                                     const std::vector<double>& ys,
+                                     const std::string& param_name) const {
+    return fit(one_parameter_points(xs), ys, {param_name});
+}
+
+std::vector<PerformanceModel> ModelGenerator::fit_batch(
+    const std::vector<double>& xs,
+    const std::vector<std::vector<double>>& value_sets,
+    const std::string& param_name) const {
+    return fit_batch(one_parameter_points(xs), value_sets, {param_name});
 }
 
 }  // namespace extradeep::modeling

@@ -21,11 +21,11 @@ struct FitOptions {
     /// Number of best per-parameter factors combined into multi-parameter
     /// hypotheses.
     int multi_param_top_factors = 3;
-    /// Threads used for the hypothesis search (and, in model_kernels, the
-    /// per-kernel loop). 1 = serial; 0 or negative = hardware concurrency.
-    /// The parallel search is bit-identical to the serial one: every
-    /// hypothesis fit is an independent computation and the reduction breaks
-    /// score ties by hypothesis index.
+    /// Threads used for the hypothesis search of one fit or fit_batch call.
+    /// 1 = serial; 0 or negative = hardware concurrency. The parallel search
+    /// is bit-identical to the serial one: every hypothesis fit is an
+    /// independent computation and the reduction breaks score ties by
+    /// hypothesis index.
     int num_threads = 1;
 };
 
@@ -45,15 +45,32 @@ public:
     /// `points[i]` holds the parameter values of measurement i (all the same
     /// dimension), `values[i]` the derived metric value (e.g. F_kernel per
     /// epoch). Throws InvalidArgumentError on inconsistent input or fewer
-    /// than min_points measurements.
+    /// than min_points measurements. This is fit_batch of one value set.
     PerformanceModel fit(const std::vector<std::vector<double>>& points,
                          const std::vector<double>& values,
                          std::vector<std::string> param_names = {"x1"}) const;
 
-    /// Single-parameter convenience overload.
+    /// Fits one model per value set, all measured at the same `points`:
+    /// models[j] is bit-identical to fit(points, value_sets[j]). The design
+    /// matrices, their QR factorizations and rank verdicts, and the
+    /// leave-one-out sub-factorizations depend only on the points and the
+    /// hypothesis, so each is computed once per hypothesis and shared by
+    /// every value set whose hypothesis list contains it. Throws
+    /// InvalidArgumentError naming the index of a value set with the wrong
+    /// size or a non-finite value; an empty batch returns no models.
+    std::vector<PerformanceModel> fit_batch(
+        const std::vector<std::vector<double>>& points,
+        const std::vector<std::vector<double>>& value_sets,
+        std::vector<std::string> param_names = {"x1"}) const;
+
+    /// Single-parameter convenience overloads.
     PerformanceModel fit(const std::vector<double>& xs,
                          const std::vector<double>& ys,
                          const std::string& param_name = "x1") const;
+    std::vector<PerformanceModel> fit_batch(
+        const std::vector<double>& xs,
+        const std::vector<std::vector<double>>& value_sets,
+        const std::string& param_name = "x1") const;
 
 private:
     FitOptions options_;

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 #include "common/parallel_for.hpp"
 #include "common/rng.hpp"
 #include "eval/oracle.hpp"
+#include "extradeep/models.hpp"
 #include "modeling/fitter.hpp"
 #include "modeling/model.hpp"
 
@@ -25,6 +27,12 @@ using namespace extradeep;
 using namespace extradeep::modeling;
 
 namespace {
+
+/// Bitwise equality, so NaN quality figures (e.g. R^2 of a constant or
+/// overflowing series) compare equal to themselves.
+bool same_bits(double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
 
 /// Asserts two fitted models are identical down to the last bit.
 void expect_identical(const PerformanceModel& a, const PerformanceModel& b) {
@@ -37,10 +45,10 @@ void expect_identical(const PerformanceModel& a, const PerformanceModel& b) {
             EXPECT_EQ(a.terms()[t].factors[f], b.terms()[t].factors[f]);
         }
     }
-    EXPECT_EQ(a.quality().fit_smape, b.quality().fit_smape);
-    EXPECT_EQ(a.quality().cv_smape, b.quality().cv_smape);
-    EXPECT_EQ(a.quality().rss, b.quality().rss);
-    EXPECT_EQ(a.quality().r_squared, b.quality().r_squared);
+    EXPECT_TRUE(same_bits(a.quality().fit_smape, b.quality().fit_smape));
+    EXPECT_TRUE(same_bits(a.quality().cv_smape, b.quality().cv_smape));
+    EXPECT_TRUE(same_bits(a.quality().rss, b.quality().rss));
+    EXPECT_TRUE(same_bits(a.quality().r_squared, b.quality().r_squared));
     EXPECT_EQ(a.quality().hypotheses_searched, b.quality().hypotheses_searched);
     EXPECT_EQ(a.param_names(), b.param_names());
     EXPECT_EQ(a.to_string(), b.to_string());
@@ -391,6 +399,228 @@ TEST(ParallelFitter, RandomSpacesIdenticalAcrossThreadCounts) {
         SCOPED_TRACE("2d seed " + std::to_string(seed));
         for (const int max_terms : {1, 2}) {
             expect_thread_count_identical(pts, ys, {"x1", "x2"}, max_terms);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Batched search: fit_batch scores every hypothesis against all value sets
+// on the same points, sharing the factorizations, and must return for each
+// value set exactly the model a standalone fit would, at any thread count.
+
+namespace {
+
+/// Asserts fit_batch over `value_sets` equals one serial fit per value set,
+/// at 1, 2 and 4 threads.
+void expect_batch_matches_fits(const std::vector<std::vector<double>>& pts,
+                               const std::vector<std::vector<double>>& value_sets,
+                               const std::vector<std::string>& names,
+                               int max_terms) {
+    std::vector<PerformanceModel> solo;
+    for (const auto& ys : value_sets) {
+        solo.push_back(generator_with_threads(1, max_terms).fit(pts, ys, names));
+    }
+    for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " terms " +
+                     std::to_string(max_terms));
+        const std::vector<PerformanceModel> batch =
+            generator_with_threads(threads, max_terms)
+                .fit_batch(pts, value_sets, names);
+        ASSERT_EQ(batch.size(), value_sets.size());
+        for (std::size_t j = 0; j < batch.size(); ++j) {
+            SCOPED_TRACE("value set " + std::to_string(j));
+            expect_identical(batch[j], solo[j]);
+            ASSERT_EQ(batch[j].has_fit_info(), solo[j].has_fit_info());
+            if (solo[j].has_fit_info()) {
+                const auto a = batch[j].predict_interval(pts.back());
+                const auto b = solo[j].predict_interval(pts.back());
+                EXPECT_TRUE(same_bits(a.lower, b.lower));
+                EXPECT_TRUE(same_bits(a.upper, b.upper));
+            }
+        }
+    }
+}
+
+/// `ys` scaled by independent lognormal noise.
+std::vector<double> noisy(const std::vector<double>& ys, Rng& rng,
+                          double sigma) {
+    std::vector<double> out;
+    for (const double y : ys) {
+        out.push_back(y * rng.lognormal_factor(sigma));
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST(FitBatch, MatchesPerSeriesFitsOnOracleCases) {
+    // Noise reorders the factor ranking of multi-parameter cases, so their
+    // batches split into several searches.
+    Rng rng(314);
+    for (const auto& oracle : eval::default_oracle_cases()) {
+        std::vector<double> truth;
+        for (const auto& p : oracle.points) {
+            truth.push_back(oracle.truth_value(p));
+        }
+        const std::vector<std::vector<double>> value_sets = {
+            truth, noisy(truth, rng, 0.05), noisy(truth, rng, 0.2),
+            std::vector<double>(truth.size(), 7.0)};
+        SCOPED_TRACE(oracle.name);
+        for (const int max_terms : {1, 2}) {
+            expect_batch_matches_fits(oracle.points, value_sets,
+                                      oracle.truth.param_names(), max_terms);
+        }
+    }
+}
+
+TEST(FitBatch, MatchesPerSeriesFitsOnRandomSpaces) {
+    Rng rng(2718);
+    std::vector<std::vector<double>> pts_1d;
+    for (const double x : {2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0}) {
+        pts_1d.push_back({x});
+    }
+    std::vector<std::vector<double>> sets_1d;
+    for (int s = 0; s < 6; ++s) {
+        const double slope = 0.5 + 5.0 * rng.uniform01();
+        const double curve = rng.uniform01();
+        std::vector<double> ys;
+        for (const auto& p : pts_1d) {
+            const double x = p[0];
+            ys.push_back((3.0 + slope * x + curve * x * std::log2(x)) *
+                         rng.lognormal_factor(0.04));
+        }
+        sets_1d.push_back(ys);
+    }
+    for (const int max_terms : {1, 2}) {
+        expect_batch_matches_fits(pts_1d, sets_1d, {"x1"}, max_terms);
+    }
+
+    std::vector<std::vector<double>> pts_2d;
+    for (const double x : {2.0, 4.0, 8.0, 16.0, 32.0}) {
+        for (const double y : {2.0, 4.0, 8.0, 16.0}) {
+            pts_2d.push_back({x, y});
+        }
+    }
+    std::vector<std::vector<double>> sets_2d;
+    for (int s = 0; s < 4; ++s) {
+        const double a = 1.0 + 3.0 * rng.uniform01();
+        const double b = 1.0 + 2.0 * rng.uniform01();
+        std::vector<double> ys;
+        for (const auto& p : pts_2d) {
+            ys.push_back((4.0 + a * p[0] + b * std::log2(p[1]) * (s % 2)) *
+                         rng.lognormal_factor(0.03));
+        }
+        sets_2d.push_back(ys);
+    }
+    for (const int max_terms : {1, 2}) {
+        expect_batch_matches_fits(pts_2d, sets_2d, {"x1", "x2"}, max_terms);
+    }
+}
+
+TEST(FitBatch, DegenerateSeriesDoNotPoisonTheirNeighbours) {
+    // An all-zero, a constant and a huge-magnitude series beside valid ones.
+    // The huge series overflows the solves of the steep hypotheses to
+    // non-finite coefficients or predictions, which must invalidate those
+    // hypotheses for that series only.
+    const std::vector<double> xs = {2, 4, 8, 16, 32, 64};
+    std::vector<std::vector<double>> pts;
+    std::vector<double> linear;
+    std::vector<double> huge;
+    for (const double x : xs) {
+        pts.push_back({x});
+        linear.push_back(2.0 + 0.5 * x);
+        huge.push_back(1e305 * x);
+    }
+    const std::vector<std::vector<double>> value_sets = {
+        linear, std::vector<double>(xs.size(), 0.0), huge,
+        std::vector<double>(xs.size(), 3.25), linear};
+    for (const int max_terms : {1, 2}) {
+        expect_batch_matches_fits(pts, value_sets, {"x1"}, max_terms);
+    }
+    const auto models = generator_with_threads(2).fit_batch(pts, value_sets);
+    EXPECT_FALSE(models[0].terms().empty());
+    EXPECT_TRUE(models[1].terms().empty());
+    EXPECT_EQ(models[1].constant(), 0.0);
+}
+
+TEST(FitBatch, EmptyBatchReturnsNoModels) {
+    const std::vector<std::vector<double>> pts = {{2}, {4}, {6}, {8}, {10}};
+    EXPECT_TRUE(generator_with_threads(2).fit_batch(pts, {}).empty());
+}
+
+TEST(FitBatch, SizeMismatchNamesTheValueSet) {
+    const std::vector<std::vector<double>> pts = {{2}, {4}, {6}, {8}, {10}};
+    const std::vector<double> good = {1, 2, 3, 4, 5};
+    try {
+        generator_with_threads(1).fit_batch(pts, {good, good, {1, 2, 3, 4}});
+        FAIL() << "expected InvalidArgumentError";
+    } catch (const InvalidArgumentError& e) {
+        EXPECT_NE(std::string(e.what()).find("value set 2"), std::string::npos)
+            << e.what();
+    }
+    std::vector<double> bad = good;
+    bad[3] = std::nan("");
+    try {
+        generator_with_threads(1).fit_batch(pts, {good, bad});
+        FAIL() << "expected InvalidArgumentError";
+    } catch (const InvalidArgumentError& e) {
+        EXPECT_NE(std::string(e.what()).find("value set 1"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ModelKernels, BatchedPointGroupsMatchPerTaskFits) {
+    // Kernel "gap" is absent at x1 = 6, so its tasks are fitted on other
+    // points than the rest: two batches, each of which must give exactly
+    // the per-task fits of every (kernel, metric) series.
+    aggregation::ExperimentData data("x1");
+    for (const double x : {2.0, 4.0, 6.0, 8.0, 10.0, 12.0}) {
+        aggregation::ConfigurationData config;
+        config.params["x1"] = x;
+        config.repetitions = 1;
+        for (const char* name : {"allreduce", "conv", "gap"}) {
+            if (std::string(name) == "gap" && x == 6.0) {
+                continue;
+            }
+            aggregation::KernelStats k;
+            k.name = name;
+            const double scale = std::string(name) == "conv" ? 1.0 : 0.1;
+            for (int m = 0; m < aggregation::kMetricCount; ++m) {
+                k.train[m] = scale * (m + 1) * (1.0 + 0.3 * x * std::log2(x));
+                k.val[m] = scale * (m + 2) * (2.0 + std::sqrt(x));
+            }
+            config.kernels.push_back(k);
+        }
+        data.add(config);
+    }
+    const std::vector<aggregation::Metric> metrics = {
+        aggregation::Metric::Time, aggregation::Metric::Visits,
+        aggregation::Metric::Bytes};
+    const StepMathFn steps = make_step_math_fn(
+        "CIFAR-10", parallel::StrategyKind::Data, 1,
+        parallel::ScalingMode::Weak, 256);
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const ModelGenerator generator = generator_with_threads(threads);
+        const auto entries = model_kernels(data, steps, metrics, generator);
+        ASSERT_EQ(entries.size(), 9u);
+        for (const KernelModelEntry& e : entries) {
+            SCOPED_TRACE(e.name);
+            std::vector<double> xs;
+            std::vector<double> train;
+            std::vector<double> val;
+            for (const auto& config : data.configs()) {
+                if (const auto* k = config.find_kernel(e.name)) {
+                    xs.push_back(config.params.at("x1"));
+                    train.push_back(k->train_metric(e.metric));
+                    val.push_back(k->val_metric(e.metric));
+                }
+            }
+            EXPECT_EQ(xs.size(), e.name == "gap" ? 5u : 6u);
+            expect_identical(e.model.train_step_model(),
+                             generator_with_threads(1).fit(xs, train));
+            expect_identical(e.model.val_step_model(),
+                             generator_with_threads(1).fit(xs, val));
         }
     }
 }

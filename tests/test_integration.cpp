@@ -121,9 +121,10 @@ TEST(Integration, KernelModelsCoverPopulationAndPredict) {
 }
 
 TEST(Integration, ParallelKernelModelingMatchesSerial) {
-    // model_kernels spends FitOptions::num_threads on the per-kernel loop;
-    // the fits are independent, so entry order, selected terms and quality
-    // metrics must be bit-identical to the serial pass.
+    // model_kernels spends FitOptions::num_threads on each batch's
+    // hypothesis loop; the hypothesis fits are independent, so entry order,
+    // selected terms and quality metrics must be bit-identical to the serial
+    // pass.
     const ExperimentRunner runner(small_spec());
     const ExperimentResult result = runner.run();
     modeling::FitOptions serial_opts;

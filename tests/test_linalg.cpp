@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -433,16 +434,220 @@ TEST(LeastSquaresWork, ReuseAcrossShapesMatchesFreshWorkspace) {
         least_squares_into(a, b, fresh);
         expect_same_solution(reused, fresh.coefficients, fresh.residual_norm,
                              fresh.rank_deficient);
-        ASSERT_EQ(reused.chol.rows(), fresh.chol.rows());
-        for (std::size_t i = 0; i < fresh.chol.rows(); ++i) {
-            for (std::size_t j = 0; j < fresh.chol.cols(); ++j) {
-                EXPECT_TRUE(same_bits(reused.chol(i, j), fresh.chol(i, j)));
+        const Matrix& reused_chol = reused.factor.chol;
+        const Matrix& fresh_chol = fresh.factor.chol;
+        ASSERT_EQ(reused_chol.rows(), fresh_chol.rows());
+        for (std::size_t i = 0; i < fresh_chol.rows(); ++i) {
+            for (std::size_t j = 0; j < fresh_chol.cols(); ++j) {
+                EXPECT_TRUE(same_bits(reused_chol(i, j), fresh_chol(i, j)));
             }
         }
     };
     solve_and_compare(small, small_b);
     solve_and_compare(tall, tall_b);
     solve_and_compare(small, small_b);
+}
+
+// ---------------------------------------------------------------------------
+// Factor once, solve many: qr_factor + qr_solve is least_squares_into split
+// at the values, so one factor must serve every right-hand side with the
+// bits of a fresh solve, and the rank verdicts must be known before any.
+
+namespace {
+
+/// Householder least squares in the classic column-at-a-time form, b
+/// transformed along with A inside the same sweep: the arithmetic that
+/// qr_factor + qr_solve split apart. Returns the coefficients and leaves
+/// Q^T b in `rhs`.
+std::vector<double> reference_householder(const Matrix& a,
+                                          const std::vector<double>& b,
+                                          std::vector<double>& rhs) {
+    const std::size_t m = a.rows();
+    const std::size_t n = a.cols();
+    Matrix r = a;
+    rhs = b;
+    double col_norm_max = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+        double norm = 0.0;
+        for (std::size_t i = k; i < m; ++i) {
+            norm += r(i, k) * r(i, k);
+        }
+        norm = std::sqrt(norm);
+        col_norm_max = std::max(col_norm_max, norm);
+        if (norm == 0.0) {
+            continue;
+        }
+        const double alpha = r(k, k) >= 0.0 ? -norm : norm;
+        std::vector<double> v(m - k);
+        v[0] = r(k, k) - alpha;
+        for (std::size_t i = k + 1; i < m; ++i) {
+            v[i - k] = r(i, k);
+        }
+        double vnorm2 = 0.0;
+        for (const double x : v) {
+            vnorm2 += x * x;
+        }
+        if (vnorm2 == 0.0) {
+            continue;
+        }
+        for (std::size_t c = k; c < n; ++c) {
+            double dot = 0.0;
+            for (std::size_t i = k; i < m; ++i) {
+                dot += v[i - k] * r(i, c);
+            }
+            const double f = 2.0 * dot / vnorm2;
+            for (std::size_t i = k; i < m; ++i) {
+                r(i, c) -= f * v[i - k];
+            }
+        }
+        double dot = 0.0;
+        for (std::size_t i = k; i < m; ++i) {
+            dot += v[i - k] * rhs[i];
+        }
+        const double f = 2.0 * dot / vnorm2;
+        for (std::size_t i = k; i < m; ++i) {
+            rhs[i] -= f * v[i - k];
+        }
+    }
+    const double tol = 1e-11 * (col_norm_max > 0 ? col_norm_max : 1.0);
+    std::vector<double> coef(n, 0.0);
+    for (std::size_t ii = n; ii-- > 0;) {
+        if (std::abs(r(ii, ii)) <= tol) {
+            continue;
+        }
+        double acc = rhs[ii];
+        for (std::size_t c = ii + 1; c < n; ++c) {
+            acc -= r(ii, c) * coef[c];
+        }
+        coef[ii] = acc / r(ii, ii);
+    }
+    return coef;
+}
+
+/// Expects a factor + solve of (a, b) to carry exactly the bits of a fresh
+/// least_squares_into: coefficients, the residual norm of the transformed
+/// tail, and the rank verdict.
+void expect_matches_fresh_solve(const Matrix& a, const std::vector<double>& b,
+                                const QrFactor& factor,
+                                const QrSolution& solution) {
+    LeastSquaresWork fresh;
+    least_squares_into(a, b, fresh);
+    ASSERT_FALSE(factor.pivot_dropped);
+    double res2 = 0.0;
+    for (std::size_t i = a.cols(); i < a.rows(); ++i) {
+        res2 += solution.rhs[i] * solution.rhs[i];
+    }
+    expect_same_solution(fresh, solution.coefficients, std::sqrt(res2),
+                         factor.rank_deficient);
+}
+
+}  // namespace
+
+TEST(QrFactor, FactorThenSolveMatchesLeastSquaresInto) {
+    // The random-shape sweep of the workspace test: one long-lived factor
+    // and solution against a fresh least_squares_into per system.
+    Rng rng(2024);
+    QrFactor factor;
+    QrSolution solution;
+    for (std::size_t m = 2; m <= 30; ++m) {
+        for (std::size_t n = 1; n <= 4 && n <= m; ++n) {
+            const Matrix a = random_matrix(rng, m, n);
+            const std::vector<double> b = random_rhs(rng, m);
+            SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
+            qr_factor(a, factor);
+            qr_solve(factor, b, solution);
+            expect_matches_fresh_solve(a, b, factor, solution);
+        }
+    }
+}
+
+TEST(QrFactor, ArithmeticMatchesTheColumnAtATimeReference) {
+    // Pins the operation order of the split itself: the reflections
+    // replayed on b must round exactly like the classic sweep that
+    // transforms b alongside A. Magnitudes spanning four orders make any
+    // reordering of a dot product or update change some bit.
+    Rng rng(4242);
+    QrFactor factor;
+    QrSolution solution;
+    for (std::size_t m = 2; m <= 30; ++m) {
+        for (std::size_t n = 1; n <= 4 && n <= m; ++n) {
+            const Matrix a = random_matrix(rng, m, n);
+            const std::vector<double> b = random_rhs(rng, m);
+            SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
+            std::vector<double> rhs;
+            const std::vector<double> coef = reference_householder(a, b, rhs);
+            qr_factor(a, factor);
+            qr_solve(factor, b, solution);
+            ASSERT_EQ(solution.coefficients.size(), coef.size());
+            for (std::size_t c = 0; c < coef.size(); ++c) {
+                EXPECT_TRUE(same_bits(solution.coefficients[c], coef[c]))
+                    << "coefficient " << c << ": " << solution.coefficients[c]
+                    << " vs " << coef[c];
+            }
+            ASSERT_EQ(solution.rhs.size(), rhs.size());
+            for (std::size_t i = 0; i < rhs.size(); ++i) {
+                EXPECT_TRUE(same_bits(solution.rhs[i], rhs[i]))
+                    << "Q^T b row " << i << ": " << solution.rhs[i] << " vs "
+                    << rhs[i];
+            }
+        }
+    }
+}
+
+TEST(QrFactor, ManyRightHandSidesThroughOneFactorMatchFreshSolves) {
+    Rng rng(99);
+    for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{5, 3},
+                               {4, 2},
+                               {9, 4},
+                               {30, 2}}) {
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n));
+        const Matrix a = random_matrix(rng, m, n);
+        QrFactor factor;
+        qr_factor(a, factor);
+        QrSolution solution;
+        for (int rhs = 0; rhs < 16; ++rhs) {
+            const std::vector<double> b = random_rhs(rng, m);
+            qr_solve(factor, b, solution);
+            expect_matches_fresh_solve(a, b, factor, solution);
+        }
+    }
+}
+
+TEST(QrFactor, ExactlyCollinearPairIsFlaggedAtFactorTime) {
+    Rng rng(6);
+    Matrix a = random_matrix(rng, 7, 3);
+    for (std::size_t i = 0; i < 7; ++i) {
+        a(i, 2) = 4.0 * a(i, 1);
+    }
+    QrFactor factor;
+    qr_factor(a, factor);
+    EXPECT_TRUE(factor.pivot_dropped);
+    EXPECT_TRUE(factor.rank_deficient);
+}
+
+TEST(QrFactor, NearCollinearPairFailsOnlyTheSpdCheckAtFactorTime) {
+    // The near-collinear system of the workspace test: the QR rank test
+    // passes, the Cholesky check of A^T A does not, and both verdicts are
+    // known before any right-hand side is seen.
+    Matrix a(5, 2);
+    for (std::size_t i = 0; i < 5; ++i) {
+        const double x = 2.0 * static_cast<double>(i + 1);
+        a(i, 0) = x;
+        a(i, 1) = x * (1.0 + (i % 2 == 0 ? 1e-9 : -1e-9));
+    }
+    QrFactor factor;
+    qr_factor(a, factor);
+    EXPECT_FALSE(factor.pivot_dropped);
+    EXPECT_TRUE(factor.rank_deficient);
+}
+
+TEST(QrFactor, SolveRejectsMismatchedRightHandSide) {
+    Rng rng(8);
+    QrFactor factor;
+    qr_factor(random_matrix(rng, 6, 2), factor);
+    QrSolution solution;
+    EXPECT_THROW(qr_solve(factor, random_rhs(rng, 5), solution),
+                 InvalidArgumentError);
 }
 
 TEST(Matrix, AssignReshapesAndFills) {
