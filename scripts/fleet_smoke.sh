@@ -3,7 +3,7 @@
 # both ingest paths and the full refit -> hot-swap loop over a real TCP
 # socket:
 #
-#   1. start extradeep-fleet on an ephemeral port with a spool directory
+#   1. start `extradeep fleet` on an ephemeral port with a spool directory
 #   2. drive a hardware-drift scenario through the `ingest` verb and check
 #      the served prediction re-converges to the degraded ground truth
 #   3. drop crash-consistent run files into the spool directory and check
@@ -14,12 +14,12 @@
 #      per-shard registry gauges
 #   6. shut the daemon down via the protocol and check it exits cleanly
 #
-# Usage: fleet_smoke.sh /path/to/extradeep-fleet
+# Usage: fleet_smoke.sh /path/to/extradeep
 # Registered as the `fleet_daemon_smoke` ctest (sanitize_smoke label).
 
 set -euo pipefail
 
-fleet_bin="${1:?usage: fleet_smoke.sh /path/to/extradeep-fleet}"
+bin="${1:?usage: fleet_smoke.sh /path/to/extradeep}"
 
 workdir="$(mktemp -d "${TMPDIR:-/tmp}/fleet-smoke.XXXXXX")"
 server_pid=""
@@ -37,7 +37,7 @@ spool="${workdir}/spool"
 mkdir -p "${models}" "${spool}"
 
 echo "== start fleet daemon (ephemeral port, spool watcher) =="
-"${fleet_bin}" serve --models "${models}" --spool "${spool}" \
+"${bin}" fleet --models "${models}" --spool "${spool}" \
     --threads 2 --fit-threads 2 --min-runs 5 --poll-ms 50 \
     > "${workdir}/fleet.log" 2>&1 &
 server_pid=$!
@@ -56,11 +56,11 @@ done
 echo "daemon on port ${port}"
 
 query() {
-    "${fleet_bin}" query --port "${port}" "$@"
+    "${bin}" query --port "${port}" "$@"
 }
 
 echo "== TCP drive: baseline + hw:2.0 drift, expect re-convergence =="
-"${fleet_bin}" drive --port "${port}" --experiment smoke \
+"${bin}" drive --port "${port}" --experiment smoke \
     --pre 1 --post 6 --drift hw:2.0 --tol 0.25 \
     | tee "${workdir}/drive.out"
 grep -q '^CONVERGED runs=' "${workdir}/drive.out" || {
@@ -73,7 +73,7 @@ grep -q '^CONVERGED runs=' "${workdir}/drive.out" || {
 }
 
 echo "== spool drive: crash-consistent file drops, expect pickup + fit =="
-"${fleet_bin}" drive --spool "${spool}" --experiment spooled \
+"${bin}" drive --spool "${spool}" --experiment spooled \
     --pre 1 --post 0 --drift none | tee "${workdir}/spool.out"
 grep -q '^SPOOLED runs=5$' "${workdir}/spool.out" || {
     echo "FAIL: spool drive did not write the expected run files"

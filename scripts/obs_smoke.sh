@@ -4,28 +4,27 @@
 # toolchain itself - no external JSON or Prometheus tooling:
 #
 #   1. fit a small experiment with --trace chrome:,text:,metrics:,edp:
-#   2. validate the Chrome trace with `extradeep-eval --validate-json`
-#   3. validate the self-profile run with `extradeep-eval --validate-edp`
+#   2. validate the Chrome trace with `extradeep eval --validate-json`
+#   3. validate the self-profile run with `extradeep eval --validate-edp`
 #      (strict parse through the same reader the ingestion pipeline uses)
 #   4. grep the text summary for the expected pipeline spans
 #   5. grep the metrics exposition for the fit counters
 #   6. check the EXTRADEEP_TRACE environment path on offline ask mode
 #   7. check that an untraced run emits no trace artifacts
 #
-# Usage: obs_smoke.sh /path/to/extradeep-serve /path/to/extradeep-eval
+# Usage: obs_smoke.sh /path/to/extradeep
 # Registered as the `obs_smoke` ctest and run by scripts/ci_check.sh.
 
 set -euo pipefail
 
-serve_bin="${1:?usage: obs_smoke.sh /path/to/extradeep-serve /path/to/extradeep-eval}"
-eval_bin="${2:?usage: obs_smoke.sh /path/to/extradeep-serve /path/to/extradeep-eval}"
+bin="${1:?usage: obs_smoke.sh /path/to/extradeep}"
 
 workdir="$(mktemp -d "${TMPDIR:-/tmp}/obs-smoke.XXXXXX")"
 cleanup() { rm -rf "${workdir}"; }
 trap cleanup EXIT
 
 echo "== traced fit: every sink enabled =="
-"${serve_bin}" fit --out "${workdir}/smoke.edpm" --name smoke \
+"${bin}" fit --out "${workdir}/smoke.edpm" --name smoke \
     --reps 2 --seed 3 --threads 2 \
     --trace "chrome:${workdir}/trace.json,text:${workdir}/summary.txt,metrics:${workdir}/metrics.prom,edp:${workdir}/self.edp"
 for artifact in trace.json summary.txt metrics.prom self.edp; do
@@ -35,13 +34,13 @@ for artifact in trace.json summary.txt metrics.prom self.edp; do
 done
 
 echo "== validate Chrome trace JSON =="
-"${eval_bin}" --validate-json "${workdir}/trace.json"
+"${bin}" eval --validate-json "${workdir}/trace.json"
 grep -q '"ph":"X"' "${workdir}/trace.json" || {
     echo "FAIL: trace.json has no complete events"; exit 1
 }
 
 echo "== validate self-profile EDP (strict parse) =="
-"${eval_bin}" --validate-edp "${workdir}/self.edp" | tee "${workdir}/edp.out"
+"${bin}" eval --validate-edp "${workdir}/self.edp" | tee "${workdir}/edp.out"
 grep -q 'x1=2' "${workdir}/edp.out" || {
     echo "FAIL: self-profile missing the x1=threads parameter"; exit 1
 }
@@ -63,7 +62,7 @@ grep -q '^extradeep_fit_hypotheses_total [1-9]' "${workdir}/metrics.prom" || {
 }
 
 echo "== EXTRADEEP_TRACE environment path (ask mode) =="
-EXTRADEEP_TRACE="text:-" "${serve_bin}" ask --models "${workdir}" \
+EXTRADEEP_TRACE="text:-" "${bin}" ask --models "${workdir}" \
     "predict smoke 16" > "${workdir}/ask.out" 2> "${workdir}/ask.err"
 grep -q '^ok ' "${workdir}/ask.out"
 grep -q 'serve.execute' "${workdir}/ask.err" || {
@@ -73,7 +72,7 @@ grep -q 'serve.execute' "${workdir}/ask.err" || {
 }
 
 echo "== untraced run stays silent =="
-"${serve_bin}" ask --models "${workdir}" "predict smoke 16" \
+"${bin}" ask --models "${workdir}" "predict smoke 16" \
     > /dev/null 2> "${workdir}/quiet.err"
 if grep -q 'serve.execute' "${workdir}/quiet.err"; then
     echo "FAIL: untraced run produced span output"; exit 1

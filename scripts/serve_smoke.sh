@@ -3,17 +3,17 @@
 # fit -> export .edpm -> daemon -> client chain over a real TCP socket:
 #
 #   1. fit a small experiment and export it as a .edpm model file
-#   2. start extradeep-serve on an ephemeral port over that directory
+#   2. start `extradeep serve` on an ephemeral port over that directory
 #   3. issue one query of every kind through the client
 #   4. byte-compare every daemon answer against offline `ask` mode
 #   5. shut the daemon down via the protocol and check it exits cleanly
 #
-# Usage: serve_smoke.sh /path/to/extradeep-serve
+# Usage: serve_smoke.sh /path/to/extradeep
 # Registered as the `serve_daemon_smoke` ctest.
 
 set -euo pipefail
 
-serve_bin="${1:?usage: serve_smoke.sh /path/to/extradeep-serve}"
+bin="${1:?usage: serve_smoke.sh /path/to/extradeep}"
 
 workdir="$(mktemp -d "${TMPDIR:-/tmp}/serve-smoke.XXXXXX")"
 server_pid=""
@@ -27,12 +27,12 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== fit + export =="
-"${serve_bin}" fit --out "${workdir}/smoke.edpm" --name smoke \
+"${bin}" fit --out "${workdir}/smoke.edpm" --name smoke \
     --reps 2 --seed 3
 grep -q $'^EDPM\t1$' "${workdir}/smoke.edpm"
 
 echo "== start daemon (ephemeral port) =="
-"${serve_bin}" serve --models "${workdir}" --threads 2 \
+"${bin}" serve --models "${workdir}" --threads 2 \
     > "${workdir}/serve.log" 2>&1 &
 server_pid=$!
 
@@ -63,8 +63,8 @@ requests=(
 )
 
 echo "== query daemon, compare against offline ask mode =="
-"${serve_bin}" query --port "${port}" "${requests[@]}" > "${workdir}/daemon.out"
-"${serve_bin}" ask --models "${workdir}" "${requests[@]}" > "${workdir}/ask.out" \
+"${bin}" query --port "${port}" "${requests[@]}" > "${workdir}/daemon.out"
+"${bin}" ask --models "${workdir}" "${requests[@]}" > "${workdir}/ask.out" \
     2>/dev/null
 if ! diff -u "${workdir}/ask.out" "${workdir}/daemon.out"; then
     echo "FAIL: daemon answers differ from library answers"
@@ -81,7 +81,7 @@ echo "== deterministic stats/metrics: daemon vs library mode =="
 # metrics responses depend only on the request sequence - byte-identical
 # between a fresh daemon and offline ask mode.
 det_requests=("${requests[@]}" "stats" "metrics")
-"${serve_bin}" serve --models "${workdir}" --threads 1 --fake-clock 5 \
+"${bin}" serve --models "${workdir}" --threads 1 --fake-clock 5 \
     > "${workdir}/serve_det.log" 2>&1 &
 det_pid=$!
 det_port=""
@@ -95,11 +95,11 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [[ -n "${det_port}" ]] || { echo "FAIL: no LISTENING line (det)"; exit 1; }
-"${serve_bin}" query --port "${det_port}" "${det_requests[@]}" \
+"${bin}" query --port "${det_port}" "${det_requests[@]}" \
     > "${workdir}/daemon_det.out"
-"${serve_bin}" query --port "${det_port}" shutdown | grep -qx "ok bye"
+"${bin}" query --port "${det_port}" shutdown | grep -qx "ok bye"
 wait "${det_pid}" || { echo "FAIL: det daemon exited non-zero"; exit 1; }
-"${serve_bin}" ask --models "${workdir}" --fake-clock 5 "${det_requests[@]}" \
+"${bin}" ask --models "${workdir}" --fake-clock 5 "${det_requests[@]}" \
     > "${workdir}/ask_det.out" 2>/dev/null
 if ! diff -u "${workdir}/ask_det.out" "${workdir}/daemon_det.out"; then
     echo "FAIL: stats/metrics differ between daemon and library mode"
@@ -113,7 +113,7 @@ grep -q 'extradeep_serve_query_latency_us_bucket' "${workdir}/daemon_det.out" ||
 echo "== loadgen against the running daemon =="
 # Pipelined concurrent load through the event loop; any lost, reordered, or
 # error response fails the run (loadgen exits non-zero on a short stream).
-"${serve_bin}" loadgen --port "${port}" --connections 4 --requests 50 \
+"${bin}" loadgen --port "${port}" --connections 4 --requests 50 \
     --pipeline 4 --mode both --out "${workdir}/bench_serve.json" \
     "predict smoke 16" "speedup smoke 2 4 8 16" "cost smoke 16" \
     "whatif smoke 16 interconnect:2" "advise smoke 16 3"
@@ -123,7 +123,7 @@ grep -q '"schema": "extradeep-serve-bench/1"' "${workdir}/bench_serve.json" || {
 }
 
 echo "== protocol shutdown =="
-"${serve_bin}" query --port "${port}" shutdown | grep -qx "ok bye"
+"${bin}" query --port "${port}" shutdown | grep -qx "ok bye"
 for _ in $(seq 1 100); do
     kill -0 "${server_pid}" 2>/dev/null || break
     sleep 0.1

@@ -8,8 +8,8 @@
 
 namespace extradeep::advisor {
 
-/// Options of the what-if verification harness (the `extradeep-advisor`
-/// binary and the whatif_accuracy_gate ctest).
+/// Options of the what-if verification harness (`extradeep whatif` and the
+/// whatif_accuracy_gate ctest).
 struct VerifyOptions {
     /// Quick suite: the default DEEP data-parallel/weak case only. The full
     /// suite adds strong scaling and a JURECA (NCCL) case.

@@ -8,10 +8,10 @@
 
 namespace extradeep::cli {
 
-/// Command-line plumbing shared by the harness binaries (extradeep-eval,
-/// -advisor, -perf, -plan, -fleet, -serve): a flag cursor, the --noise list
-/// parser, and the one report tail that writes BENCH_*.json and runs the
-/// threshold gate.
+/// Command-line plumbing of the `extradeep` driver (src/driver) and its
+/// harness subcommands (eval, perf, whatif, drift, plan, loadgen): a flag
+/// cursor, the --noise list parser, and the one report tail that writes
+/// BENCH_*.json and runs the threshold gate.
 
 /// Flag cursor over argv[first..argc).
 class Args {

@@ -104,7 +104,7 @@ std::vector<std::string> write_edp_tree(const OracleCase& oracle,
 /// multiplicative) cases.
 std::vector<OracleCase> default_oracle_cases();
 
-/// Subset of default_oracle_cases() used by `extradeep-eval --quick` and the
+/// Subset of default_oracle_cases() used by `extradeep eval --quick` and the
 /// eval_accuracy_gate ctest.
 std::vector<OracleCase> quick_oracle_cases();
 

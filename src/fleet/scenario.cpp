@@ -21,11 +21,6 @@ namespace extradeep::fleet {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-constexpr char kModelName[] = "fleet-demo";
-
-/// One profiled run of `ranks` on `spec`'s system, as raw EDP bytes.
 std::string run_edp_bytes(const ExperimentSpec& spec, int ranks, int rep) {
     const ExperimentRunner runner(spec);
     const sim::TrainingSimulator simulator(runner.workload_for(ranks));
@@ -41,17 +36,21 @@ double parse_predict_t(const std::string& response) {
     // "ok t=<v> lo=<v> hi=<v>"
     constexpr char kPrefix[] = "ok t=";
     if (response.rfind(kPrefix, 0) != 0) {
-        throw Error("scenario: unexpected predict response '" + response +
+        throw Error("fleet: unexpected predict response '" + response +
                     "'");
     }
     const std::size_t start = sizeof(kPrefix) - 1;
     const std::size_t end = response.find(' ', start);
     double v = 0.0;
     if (!fmt::parse_double(response.substr(start, end - start), v)) {
-        throw Error("scenario: bad predict value in '" + response + "'");
+        throw Error("fleet: bad predict value in '" + response + "'");
     }
     return v;
 }
+
+namespace {
+
+constexpr char kModelName[] = "fleet-demo";
 
 std::string read_file_bytes(const std::string& path) {
     std::ifstream is(path, std::ios::binary);

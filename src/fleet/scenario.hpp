@@ -11,8 +11,16 @@
 
 namespace extradeep::fleet {
 
+/// One profiled run of `ranks` on `spec`'s system (profiler seed
+/// `spec.seed`, repetition `rep`), as the raw EDP bytes a collector pushes.
+std::string run_edp_bytes(const ExperimentSpec& spec, int ranks, int rep);
+
+/// The `t` of a served `ok t=<v> lo=<v> hi=<v>` predict response; throws
+/// Error on any other response.
+double parse_predict_t(const std::string& response);
+
 /// Configuration of the end-to-end continuous-modeling drift scenario (the
-/// `fleet_drift_gate` ctest and `extradeep-fleet --quick`).
+/// `fleet_drift_gate` ctest and `extradeep drift`).
 struct ScenarioOptions {
     /// One run per rank count per round (so each round refreshes every
     /// modeling point once).

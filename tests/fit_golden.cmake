@@ -5,13 +5,13 @@
 # numerics change regenerates the golden with the command below and says so
 # in its change description.
 #
-#   cmake -DSERVE=<extradeep-serve> -DGOLDEN=<golden.edpm> -DOUT=<out.edpm>
+#   cmake -DEXTRADEEP=<extradeep> -DGOLDEN=<golden.edpm> -DOUT=<out.edpm>
 #         -P fit_golden.cmake
 execute_process(
-  COMMAND ${SERVE} fit --out ${OUT} --name smoke --reps 2 --seed 3
+  COMMAND ${EXTRADEEP} fit --out ${OUT} --name smoke --reps 2 --seed 3
   RESULT_VARIABLE fit_rc)
 if(NOT fit_rc EQUAL 0)
-  message(FATAL_ERROR "extradeep-serve fit failed (${fit_rc})")
+  message(FATAL_ERROR "extradeep fit failed (${fit_rc})")
 endif()
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files ${OUT} ${GOLDEN}
