@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "aggregation/metrics.hpp"
-#include "profiling/profiler.hpp"
+#include "profiling/edp_io.hpp"
 #include "trace/kernel.hpp"
 
 namespace extradeep::aggregation {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "aggregation/aggregate.hpp"
-#include "parallel/steps.hpp"
+#include "parallel/strategy.hpp"
 
 namespace extradeep::aggregation {
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "common/diagnostics.hpp"
-#include "profiling/profiler.hpp"
+#include "profiling/edp_io.hpp"
 
 namespace extradeep::aggregation {
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "aggregation/stream.hpp"
@@ -34,11 +36,13 @@ struct StreamedRun {
     aggregation::RunAggregate aggregate;
 };
 
-/// Outcome of digesting one EDP file record-at-a-time.
+/// Outcome of digesting one EDP file record-at-a-time; shaped like
+/// profiling::EdpReadResult so both paths share one merge loop.
 struct StreamedFile {
-    DiagnosticLog parse_log;  ///< unscoped reader diagnostics
-    bool ok = false;          ///< no Error-severity parse diagnostic
-    StreamedRun run;          ///< valid only when ok
+    StreamedRun run;            ///< valid only when ok()
+    DiagnosticLog diagnostics;  ///< unscoped reader diagnostics
+
+    bool ok() const { return !diagnostics.has_errors(); }
 };
 
 /// One pass over an EDP file: folds records into (a) a marks-only skeleton
@@ -116,9 +120,8 @@ StreamedFile stream_digest_file(const std::string& path,
     finalize_rank();
 
     StreamedFile out;
-    out.parse_log = reader.take_diagnostics();
-    out.ok = !out.parse_log.has_errors();
-    if (!out.ok) {
+    out.diagnostics = reader.take_diagnostics();
+    if (!out.ok()) {
         return out;  // quarantined by the caller; aggregate unused
     }
     // Validation sees exactly what the materialising path's validate_run
@@ -270,30 +273,43 @@ void for_each_submitted(std::size_t count, int num_threads,
     done.wait(lock, [&] { return remaining == 0; });
 }
 
-IngestResult ingest_edp_files_streaming(std::span<const std::string> paths,
-                                        const IngestOptions& options) {
+/// The one merge loop of both ingest_edp_files paths. `read(path)` returns
+/// a parsed file (`run`, `diagnostics`, `ok()`) and runs on
+/// options.num_threads threads; the merge then walks the files in path
+/// order, so diagnostics, drop decisions and (in strict mode) the first
+/// failure are deterministic regardless of num_threads. `ingest` validates
+/// and aggregates the grouped configurations.
+template <typename Read, typename Ingest>
+IngestResult ingest_files(std::span<const std::string> paths,
+                          const IngestOptions& options,
+                          std::atomic<std::uint64_t>& files_read, Read read,
+                          Ingest ingest) {
+    using Parsed = std::invoke_result_t<Read&, const std::string&>;
+    using Run = decltype(Parsed::run);
     struct Slot {
-        StreamedFile file;
+        Parsed parsed;
         std::exception_ptr error;
     };
     std::vector<Slot> slots(paths.size());
     for_each_submitted(paths.size(), options.num_threads, [&](std::size_t i) {
         try {
-            slots[i].file = stream_digest_file(paths[i], options);
+            slots[i].parsed = read(paths[i]);
         } catch (...) {
             slots[i].error = std::current_exception();
         }
     });
 
-    // Merge in path order: diagnostics, drop decisions, and (in strict
-    // mode) the first failure are deterministic regardless of num_threads.
     DiagnosticLog parse_log;
     std::size_t dropped_files = 0;
-    std::map<std::map<std::string, double>, std::vector<StreamedRun>> groups;
+    // Group runs by their full parameter map; map ordering makes the
+    // configuration order deterministic regardless of path order.
+    std::map<std::map<std::string, double>, std::vector<Run>> groups;
     for (std::size_t i = 0; i < paths.size(); ++i) {
         const std::string& path = paths[i];
         Slot& slot = slots[i];
         if (slot.error) {
+            // Strict mode rethrows: fail fast is the contract there (the
+            // lowest path index wins, independent of num_threads).
             if (options.mode == profiling::ParseMode::Strict) {
                 std::rethrow_exception(slot.error);
             }
@@ -305,34 +321,35 @@ IngestResult ingest_edp_files_streaming(std::span<const std::string> paths,
                 continue;
             }
         }
-        g_files_streamed.fetch_add(1, std::memory_order_relaxed);
-        for (const auto& d : slot.file.parse_log.entries()) {
+        files_read.fetch_add(1, std::memory_order_relaxed);
+        Parsed& parsed = slot.parsed;
+        for (const auto& d : parsed.diagnostics.entries()) {
             Diagnostic scoped = d;
             scoped.reason = path + ": " + d.reason;
             parse_log.add(std::move(scoped));
         }
-        if (!slot.file.ok) {
+        if (!parsed.ok()) {
             parse_log.add(Severity::Error,
                           path + ": file quarantined (" +
-                              slot.file.parse_log.summary() + ")");
+                              parsed.diagnostics.summary() + ")");
             ++dropped_files;
             continue;
         }
-        if (slot.file.run.params.find(options.primary_parameter) ==
-            slot.file.run.params.end()) {
+        if (parsed.run.params.find(options.primary_parameter) ==
+            parsed.run.params.end()) {
             parse_log.add(Severity::Error,
                           path + ": run lacks primary parameter '" +
                               options.primary_parameter + "'");
             ++dropped_files;
             continue;
         }
-        groups[slot.file.run.params].push_back(std::move(slot.file.run));
+        groups[parsed.run.params].push_back(std::move(parsed.run));
     }
 
-    std::vector<std::vector<StreamedRun>> configs =
+    std::vector<std::vector<Run>> configs =
         group_by_configuration(std::move(groups), options.primary_parameter);
 
-    IngestResult result = ingest_streamed_runs(configs, options);
+    IngestResult result = ingest(configs);
     result.runs_total += dropped_files;
     // Parse diagnostics come first: they precede validation logically.
     DiagnosticLog merged(DiagnosticLog::kDefaultCapacity);
@@ -446,85 +463,26 @@ IngestResult ingest_edp_files(std::span<const std::string> paths,
                               const IngestOptions& options) {
     const obs::Span files_span{"ingest.edp_files"};
     if (options.streaming) {
-        return ingest_edp_files_streaming(paths, options);
+        return ingest_files(
+            paths, options, g_files_streamed,
+            [&](const std::string& path) {
+                return stream_digest_file(path, options);
+            },
+            [&](std::vector<std::vector<StreamedRun>>& configs) {
+                return ingest_streamed_runs(configs, options);
+            });
     }
     profiling::EdpReadOptions read_options;
     read_options.mode = options.mode;
-
-    struct Slot {
-        profiling::EdpReadResult parsed;
-        std::exception_ptr error;
-    };
-    std::vector<Slot> slots(paths.size());
-    for_each_submitted(paths.size(), options.num_threads, [&](std::size_t i) {
-        try {
+    return ingest_files(
+        paths, options, g_runs_materialized,
+        [&](const std::string& path) {
             const obs::Span read_span{"ingest.read_edp"};
-            slots[i].parsed = profiling::read_edp_file(paths[i], read_options);
-        } catch (...) {
-            slots[i].error = std::current_exception();
-        }
-    });
-
-    DiagnosticLog parse_log;
-    std::size_t dropped_files = 0;
-    // Group runs by their full parameter map; map ordering makes the
-    // configuration order deterministic regardless of path order.
-    std::map<std::map<std::string, double>,
-             std::vector<profiling::ProfiledRun>>
-        groups;
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-        const std::string& path = paths[i];
-        Slot& slot = slots[i];
-        if (slot.error) {
-            // Strict mode rethrows: fail fast is the contract there (the
-            // lowest path index wins, independent of num_threads).
-            if (options.mode == profiling::ParseMode::Strict) {
-                std::rethrow_exception(slot.error);
-            }
-            try {
-                std::rethrow_exception(slot.error);
-            } catch (const Error& e) {
-                parse_log.add(Severity::Error, path + ": " + e.what());
-                ++dropped_files;
-                continue;
-            }
-        }
-        g_runs_materialized.fetch_add(1, std::memory_order_relaxed);
-        profiling::EdpReadResult& parsed = slot.parsed;
-        for (const auto& d : parsed.diagnostics.entries()) {
-            Diagnostic scoped = d;
-            scoped.reason = path + ": " + d.reason;
-            parse_log.add(std::move(scoped));
-        }
-        if (!parsed.ok()) {
-            parse_log.add(Severity::Error,
-                          path + ": file quarantined (" +
-                              parsed.diagnostics.summary() + ")");
-            ++dropped_files;
-            continue;
-        }
-        if (parsed.run.params.find(options.primary_parameter) ==
-            parsed.run.params.end()) {
-            parse_log.add(Severity::Error,
-                          path + ": run lacks primary parameter '" +
-                              options.primary_parameter + "'");
-            ++dropped_files;
-            continue;
-        }
-        groups[parsed.run.params].push_back(std::move(parsed.run));
-    }
-
-    std::vector<std::vector<profiling::ProfiledRun>> configs =
-        group_by_configuration(std::move(groups), options.primary_parameter);
-
-    IngestResult result = ingest_runs(configs, options);
-    result.runs_total += dropped_files;
-    // Parse diagnostics come first: they precede validation logically.
-    DiagnosticLog merged(DiagnosticLog::kDefaultCapacity);
-    merged.merge(parse_log);
-    merged.merge(result.diagnostics);
-    result.diagnostics = std::move(merged);
-    return result;
+            return profiling::read_edp_file(path, read_options);
+        },
+        [&](std::vector<std::vector<profiling::ProfiledRun>>& configs) {
+            return ingest_runs(configs, options);
+        });
 }
 
 }  // namespace extradeep

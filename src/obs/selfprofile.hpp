@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "profiling/profiler.hpp"
+#include "profiling/edp_io.hpp"
 
 namespace extradeep::obs {
 

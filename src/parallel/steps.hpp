@@ -7,17 +7,6 @@
 
 namespace extradeep::parallel {
 
-/// The analytical step math of paper Sec. 2.3.1. These values must be
-/// provided once at the start of modeling; everything downstream is
-/// automated.
-struct StepMath {
-    std::int64_t effective_train_samples = 0;  ///< D_t after scaling-mode adjustment
-    std::int64_t effective_val_samples = 0;    ///< D_v after scaling-mode adjustment
-    std::int64_t batch_per_worker = 0;         ///< B
-    std::int64_t train_steps = 0;              ///< n_t (Eq. 2)
-    std::int64_t val_steps = 0;                ///< n_v (Eq. 3)
-};
-
 /// Computes n_t and n_v for a configuration (Eqs. 2-3):
 ///   n_t = floor((D_t / (G/M)) / B)
 /// Weak scaling first multiplies D_t (and D_v) by the number of data-parallel

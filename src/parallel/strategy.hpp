@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -35,6 +36,19 @@ std::string_view scaling_name(ScalingMode mode);
 /// Parses the output of scaling_name back into the enum (also accepts the
 /// bare "weak"/"strong" shorthand). Throws ParseError for unknown names.
 ScalingMode parse_scaling(std::string_view name);
+
+/// The analytical step math of paper Sec. 2.3.1. These values must be
+/// provided once at the start of modeling; everything downstream is
+/// automated. compute_steps (parallel/steps.hpp) derives them; the
+/// aggregation layer only reads them, so the struct lives here with the
+/// other plain types.
+struct StepMath {
+    std::int64_t effective_train_samples = 0;  ///< D_t after scaling-mode adjustment
+    std::int64_t effective_val_samples = 0;    ///< D_v after scaling-mode adjustment
+    std::int64_t batch_per_worker = 0;         ///< B
+    std::int64_t train_steps = 0;              ///< n_t (Eq. 2)
+    std::int64_t val_steps = 0;                ///< n_v (Eq. 3)
+};
 
 /// A fully specified parallel execution: strategy, total MPI ranks x1, and
 /// the degree of model parallelism M. Following Eq. 2's convention, G is the

@@ -1,12 +1,28 @@
 #pragma once
 
 #include <iosfwd>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "common/diagnostics.hpp"
-#include "profiling/profiler.hpp"
+#include "trace/timeline.hpp"
 
 namespace extradeep::profiling {
+
+/// The in-memory form of one .edp file. It is the output of profiling one
+/// application configuration once: the traces of all MPI ranks plus the
+/// execution parameters that identify the configuration (a measurement point
+/// P(x1, ..., xm)) and the repetition index. This is the equivalent of one
+/// Nsight Systems report set, whether the simulator-backed Profiler or
+/// anything else produced it.
+struct ProfiledRun {
+    std::map<std::string, double> params;  ///< e.g. {"x1": 8}
+    int repetition = 0;
+    std::vector<trace::RankTrace> ranks;
+    /// Wall time of executing + profiling this run (for Fig. 8 accounting).
+    double profiling_wall_time = 0.0;
+};
 
 /// EDP ("Extra-Deep Profile") is this library's on-disk profile format - the
 /// substitute for Nsight Systems report exports. It is a versioned,

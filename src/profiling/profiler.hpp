@@ -3,26 +3,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
+#include "profiling/edp_io.hpp"
 #include "profiling/sampling.hpp"
 #include "sim/simulator.hpp"
-#include "trace/timeline.hpp"
 
 namespace extradeep::profiling {
-
-/// The output of profiling one application configuration once: the traces of
-/// all MPI ranks plus the execution parameters that identify the
-/// configuration (a measurement point P(x1, ..., xm)) and the repetition
-/// index. This is the simulator-backed equivalent of one Nsight Systems
-/// report set.
-struct ProfiledRun {
-    std::map<std::string, double> params;  ///< e.g. {"x1": 8}
-    int repetition = 0;
-    std::vector<trace::RankTrace> ranks;
-    /// Wall time of executing + profiling this run (for Fig. 8 accounting).
-    double profiling_wall_time = 0.0;
-};
 
 /// Drives the simulator like Nsight Systems drives a real job: runs the
 /// configured sampling strategy and collects per-rank traces, accounting for

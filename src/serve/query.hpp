@@ -106,7 +106,7 @@ public:
 ///   plan       <model> <x1> [<x> ...]  (adaptive-profiling acquisition: rank
 ///              candidate rank counts by the served model's relative
 ///              prediction-interval width and name the one to profile next;
-///              the serve-side view of the extradeep-plan racing loop)
+///              the serve-side view of the `extradeep plan` racing loop)
 ///   ingest     <experiment> <payload>  (push one EDP run into the fleet
 ///              loop; payload = escape_lines(EDP bytes), taken verbatim to
 ///              end of line. Requires an attached FleetHandler.)

@@ -20,7 +20,7 @@ namespace extradeep::serve {
 inline constexpr std::size_t kMaxRequestLine = 1 << 16;
 
 struct ServerOptions {
-    /// Loopback only by design: extradeep-serve is a local analysis daemon,
+    /// Loopback only by design: `extradeep serve` is a local analysis daemon,
     /// not an internet-facing service.
     std::string host = "127.0.0.1";
     /// 0 = let the kernel pick an ephemeral port (read it back via port()).
@@ -127,7 +127,7 @@ private:
 
 /// Client helper: connects, sends every request (newline-terminated), half-
 /// closes the write side, and returns one response line per request. Used
-/// by the `extradeep-serve query` client mode and the daemon tests. Throws
+/// by the `extradeep query` client mode and the daemon tests. Throws
 /// Error on connection failure or a short response stream; the message
 /// distinguishes a receive timeout from a closed connection.
 std::vector<std::string> query_daemon(const std::string& host, int port,

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "profiling/profiler.hpp"
+#include "profiling/edp_io.hpp"
 
 /// Deterministic fault-injection library for the EDP ingestion path.
 ///
