@@ -262,10 +262,11 @@ void for_each_submitted(std::size_t count, int num_threads,
     for (std::size_t i = 0; i < count; ++i) {
         pool.submit([&, i] {
             work(i);
-            {
-                const std::lock_guard<std::mutex> lock(mutex);
-                --remaining;
-            }
+            // Notify under the lock: once the waiter sees remaining == 0 it
+            // returns and destroys `done`, so the last notify must finish
+            // before the waiter can reacquire the mutex.
+            const std::lock_guard<std::mutex> lock(mutex);
+            --remaining;
             done.notify_one();
         });
     }

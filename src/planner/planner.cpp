@@ -59,10 +59,10 @@ modeling::PerformanceModel refit_on_pool(
         } catch (...) {
             error = std::current_exception();
         }
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            done = true;
-        }
+        // Notify under the lock: the waiter returns and destroys `cv` as
+        // soon as it sees `done`.
+        std::lock_guard<std::mutex> lock(mutex);
+        done = true;
         cv.notify_one();
     });
     std::unique_lock<std::mutex> lock(mutex);

@@ -3,6 +3,7 @@
 #include <iosfwd>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/diagnostics.hpp"
@@ -114,7 +115,9 @@ private:
     DiagnosticLog log_;
     Stage stage_ = Stage::Header;
     std::string line_;
-    std::vector<std::string> fields_;
+    /// Tab-separated fields of line_, as views into it: valid until the
+    /// next read_line(). Only a record that owns a string copies one.
+    std::vector<std::string_view> fields_;
     bool have_pending_line_ = false;  ///< reprocess line_ (headerless file)
     std::set<int> seen_ranks_;
     bool rank_usable_ = false;  ///< a usable RANK block is open

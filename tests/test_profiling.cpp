@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "profiling/edp_io.hpp"
 #include "profiling/profiler.hpp"
 #include "profiling/sampling.hpp"
@@ -238,6 +242,45 @@ TEST(EdpIo, EmptyRunRoundTrips) {
     EXPECT_TRUE(back.ranks.empty());
 }
 
+TEST(EdpIo, RoundTripsSubnormalValues) {
+    // fmt::shortest writes denorm_min() as "5e-324" and 1e-310 as itself; a
+    // strtod-based reader reported both as out of range, so strict mode
+    // rejected a file its own writer produced.
+    const double subnormals[] = {std::numeric_limits<double>::denorm_min(),
+                                 1e-310};
+    ProfiledRun run;
+    run.repetition = 0;
+    trace::RankTrace rank;
+    rank.rank = 0;
+    for (const double v : subnormals) {
+        trace::TraceEvent e;
+        e.name = "k";
+        e.duration = v;
+        e.bytes = v;
+        rank.events.push_back(e);
+        trace::NvtxMark m;
+        m.time = v;
+        rank.marks.push_back(m);
+    }
+    run.ranks.push_back(rank);
+
+    std::stringstream buffer;
+    write_edp(buffer, run);
+    const ProfiledRun back = read_edp(buffer);
+    ASSERT_EQ(back.ranks.size(), 1u);
+    ASSERT_EQ(back.ranks[0].events.size(), std::size(subnormals));
+    ASSERT_EQ(back.ranks[0].marks.size(), std::size(subnormals));
+    for (std::size_t i = 0; i < std::size(subnormals); ++i) {
+        const auto bits = std::bit_cast<std::uint64_t>(subnormals[i]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      back.ranks[0].events[i].duration), bits) << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.ranks[0].events[i].bytes),
+                  bits) << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.ranks[0].marks[i].time),
+                  bits) << i;
+    }
+}
+
 namespace {
 
 EdpReadResult tolerant_parse(const std::string& text) {
@@ -427,4 +470,123 @@ TEST(EdpTolerant, OrphanRecordsBeforeAnyRankAreCounted) {
     EXPECT_TRUE(result.run.ranks[0].events.empty());
     EXPECT_EQ(result.diagnostics.count(Severity::Warning), 1u);
     EXPECT_EQ(result.diagnostics.count(Severity::Info), 1u);
+}
+
+namespace {
+
+/// The strict-mode verdict on one token: "" if it is accepted, else the
+/// exact ParseError message.
+std::string strict_verdict(const std::string& text) {
+    std::istringstream is(text);
+    try {
+        read_edp(is);
+    } catch (const ParseError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+}  // namespace
+
+TEST(EdpStrict, NumberGrammar) {
+    // One row per token: its verdict in a double field (P value) and in an
+    // integer field (E visits). The grammar is exactly what write_edp
+    // emits; the first twelve rows are the corrupt_number fuzz tokens.
+    struct Row {
+        const char* token;
+        const char* as_double;
+        const char* as_integer;
+    };
+    const Row rows[] = {
+        {"nan", "EDP: non-finite value for param value: 'nan'",
+         "EDP: bad integer for event visits: 'nan'"},
+        {"-nan", "EDP: non-finite value for param value: '-nan'",
+         "EDP: bad integer for event visits: '-nan'"},
+        {"inf", "EDP: non-finite value for param value: 'inf'",
+         "EDP: bad integer for event visits: 'inf'"},
+        {"-inf", "EDP: non-finite value for param value: '-inf'",
+         "EDP: bad integer for event visits: '-inf'"},
+        {"1e999", "EDP: number out of range for param value",
+         "EDP: trailing junk in event visits"},
+        {"-1", "", "EDP: negative value for event visits"},
+        {"12x", "EDP: trailing junk in param value",
+         "EDP: trailing junk in event visits"},
+        {"", "EDP: bad number for param value: ''",
+         "EDP: bad integer for event visits: ''"},
+        {"0.0.0", "EDP: trailing junk in param value",
+         "EDP: trailing junk in event visits"},
+        {"+-3", "EDP: bad number for param value: '+-3'",
+         "EDP: bad integer for event visits: '+-3'"},
+        {"0x", "EDP: trailing junk in param value",
+         "EDP: trailing junk in event visits"},
+        {"999999999999999999999999", "",
+         "EDP: integer out of range for event visits"},
+        // Accepted by the strtod/strtoll grammar, never written by write_edp.
+        {"+1", "EDP: bad number for param value: '+1'",
+         "EDP: bad integer for event visits: '+1'"},
+        {" 1", "EDP: bad number for param value: ' 1'",
+         "EDP: bad integer for event visits: ' 1'"},
+        {"0x10", "EDP: trailing junk in param value",
+         "EDP: trailing junk in event visits"},
+        // A subnormal, written by fmt::shortest as itself.
+        {"1e-310", "", "EDP: trailing junk in event visits"},
+    };
+    for (const Row& row : rows) {
+        const std::string token(row.token);
+        EXPECT_EQ(strict_verdict("EDP\t1\nP\tx1\t" + token + "\nEND\n"),
+                  row.as_double)
+            << "double '" << token << "'";
+        EXPECT_EQ(strict_verdict("EDP\t1\nRANK\t0\nE\tk\tCUDA kernel\t0\t1\t" +
+                                 token + "\t0\nEND\n"),
+                  row.as_integer)
+            << "integer '" << token << "'";
+    }
+
+    std::istringstream subnormal("EDP\t1\nP\tx1\t1e-310\nEND\n");
+    EXPECT_EQ(read_edp(subnormal).params.at("x1"), 1e-310);
+}
+
+TEST(EdpStrict, RandomNormalDoublesRoundTripBitExact) {
+    // 1e5 seeded random finite, non-negative, normal doubles (every
+    // exponent, every mantissa) through write_edp and back.
+    Rng rng(20231112);
+    const auto random_normal = [&] {
+        const auto exponent = static_cast<std::uint64_t>(rng.uniform_int(1, 2046));
+        const std::uint64_t mantissa = rng.next_u64() >> 12;
+        return std::bit_cast<double>((exponent << 52) | mantissa);
+    };
+    ProfiledRun run;
+    trace::RankTrace rank;
+    rank.rank = 0;
+    constexpr int kValues = 100000;
+    for (int i = 0; i < kValues / 4; ++i) {
+        trace::TraceEvent e;
+        e.name = "k";
+        e.start = random_normal();
+        e.duration = random_normal();
+        e.bytes = random_normal();
+        rank.events.push_back(e);
+        trace::NvtxMark m;
+        m.time = random_normal();
+        rank.marks.push_back(m);
+    }
+    run.ranks.push_back(rank);
+
+    std::stringstream buffer;
+    write_edp(buffer, run);
+    const ProfiledRun back = read_edp(buffer);
+    ASSERT_EQ(back.ranks.size(), 1u);
+    const auto& a = run.ranks[0];
+    const auto& b = back.ranks[0];
+    ASSERT_EQ(b.events.size(), a.events.size());
+    ASSERT_EQ(b.marks.size(), a.marks.size());
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < a.events.size(); ++i) {
+        mismatches += bits(a.events[i].start) != bits(b.events[i].start);
+        mismatches += bits(a.events[i].duration) != bits(b.events[i].duration);
+        mismatches += bits(a.events[i].bytes) != bits(b.events[i].bytes);
+        mismatches += bits(a.marks[i].time) != bits(b.marks[i].time);
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
